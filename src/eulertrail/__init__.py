@@ -52,7 +52,6 @@ from .factor import (
     EulerianFactor,
     NonStrongCut,
     ObstructionPartition,
-    check_merge_obstructions,
     eulerian_factor,
     factor_exists_guarantee,
     is_star_set,
@@ -96,7 +95,6 @@ __all__ = [
     "arc_connectivity",
     "arc_connectivity_certificate",
     "arc_disjoint_paths",
-    "check_merge_obstructions",
     "classify_containment",
     "classify_unavoidable",
     "cut_arcs",

@@ -95,9 +95,42 @@ def circulation_with_cut(
     return [flows[i] + edges[i][2] for i in range(len(edges))], frozenset()
 
 
-def feasible_circulation(
-    n: int, edges: list[tuple[int, int, int, int]]
-) -> list[int] | None:
-    """Circulation flows meeting the bounds, or None when infeasible."""
-    flows, _ = circulation_with_cut(n, edges)
-    return flows
+def degree_bounded_subgraph(
+    n: int,
+    arcs: list[tuple[int, int]],
+    lo: list[int],
+    hi: list[int],
+    surplus: list[int] | None = None,
+) -> tuple[list[tuple[int, int]] | None, frozenset[int], frozenset[int]]:
+    """Pick each of ``arcs`` at most once under per-vertex degree bounds.
+
+    At every vertex v the picked arcs leave ``surplus[v]`` (0 by default)
+    more times than they enter, and between ``lo[v]`` and ``hi[v]`` of
+    them pass through v.  Returns the picked arcs in input order and two
+    empty sets; when no choice exists, None plus the vertices whose entry
+    side and whose exit side lie on the source side of the blocking cut.
+
+    Solved as a circulation on the split-node network: node v is the
+    entry side of vertex v, node n + v its exit side, arc (u, v) runs from
+    n + u to v, and vertex v's own edge from v to n + v carries the
+    through traffic.  Surplus enters exit sides from a source and leaves
+    entry sides into a sink, with a return edge from sink to source.
+    """
+    edges = [(n + u, v, 0, 1) for u, v in arcs]
+    edges += [(v, n + v, lo[v], hi[v]) for v in range(n)]
+    nodes = 2 * n
+    if surplus is not None:
+        src, snk = 2 * n, 2 * n + 1
+        nodes += 2
+        for v in range(n):
+            if surplus[v] > 0:
+                edges.append((src, n + v, surplus[v], surplus[v]))
+            elif surplus[v] < 0:
+                edges.append((v, snk, -surplus[v], -surplus[v]))
+        edges.append((snk, src, 0, sum(s for s in surplus if s > 0)))
+    flows, reached = circulation_with_cut(nodes, edges)
+    if flows is None:
+        entry = frozenset(v for v in reached if v < n)
+        exit_ = frozenset(v - n for v in reached if n <= v < 2 * n)
+        return None, entry, exit_
+    return [a for a, f in zip(arcs, flows) if f], frozenset(), frozenset()

@@ -32,7 +32,7 @@ from .decomposition import (
 from .digraph import Arc, Digraph, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 from .factor import ObstructionPartition, merge_all, spanning_eulerian_avoiding
-from ._flow import feasible_circulation
+from ._flow import degree_bounded_subgraph
 from .hamilton import hamiltonian_path_between, path_within
 from .trails import EulerianSubdigraph, spanning_trail, validate_eulerian_subdigraph
 
@@ -200,36 +200,23 @@ def _forced_flow_witness(
     d: Digraph, dec: Decomposition, arc: Arc
 ) -> frozenset[Arc] | None:
     """Complete the forced arcs (all backward ones plus this arc) to a
-    spanning eulerian subdigraph by a demand-balancing circulation."""
+    spanning eulerian subdigraph by a degree-bounded subgraph that
+    balances them."""
     forced = set(dec.backward_arcs(d))
     forced.add(arc)
-    demand: dict[int, int] = {}
-    for a, b in forced:
-        demand[a] = demand.get(a, 0) - 1
-        demand[b] = demand.get(b, 0) + 1
-    touched = {w for a in forced for w in a}
     n = d.n
-    edges: list[tuple[int, int, int, int]] = []
-    slots: list[Arc] = []
-    for a, b in d.arcs():
-        if (a, b) in forced:
-            continue
-        edges.append((n + a, b, 0, 1))
-        slots.append((a, b))
-    for w in range(n):
-        edges.append((w, n + w, 0 if w in touched else 1, n))
-    src, snk = 2 * n, 2 * n + 1
-    for w, delta in sorted(demand.items()):
-        if delta > 0:
-            edges.append((src, n + w, delta, delta))
-        elif delta < 0:
-            edges.append((w, snk, -delta, -delta))
-    edges.append((snk, src, 0, 4 * n))
-    flows = feasible_circulation(2 * n + 2, edges)
-    if flows is None:
+    # the picked arcs must make up the imbalance the forced arcs leave
+    surplus = [0] * n
+    for a, b in forced:
+        surplus[a] -= 1
+        surplus[b] += 1
+    touched = {w for a in forced for w in a}
+    lo = [0 if w in touched else 1 for w in range(n)]
+    rest = [a for a in d.arcs() if a not in forced]
+    picked, _, _ = degree_bounded_subgraph(n, rest, lo, [n] * n, surplus)
+    if picked is None:
         return None
-    extra = {slots[i] for i in range(len(slots)) if flows[i] == 1}
-    candidate = frozenset(extra | forced)
+    candidate = frozenset(forced.union(picked))
     sub = EulerianSubdigraph(candidate)
     if not validate_eulerian_subdigraph(d, sub):
         return candidate

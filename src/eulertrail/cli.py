@@ -93,33 +93,21 @@ def _say(args: argparse.Namespace, text: str) -> None:
 # ---- certificate re-validation ----
 
 
-def _check_cut(d: Digraph, cert: CutCertificate, ignore: frozenset[Arc]) -> None:
-    """A cut certificate must list exactly the surviving arcs out of its side."""
-    s = set(cert.side_s)
-    t = set(cert.side_t)
-    if s & t or s | t != set(d.vertices()) or not s or not t:
-        raise ConstructionError("cut certificate sides do not partition the vertices")
-    crossing = {
-        (u, v)
-        for u, v in d.arcs()
-        if u in s and v in t and (u, v) not in ignore
-    }
-    if crossing != set(cert.crossing_arcs):
-        raise ConstructionError("cut certificate arcs do not match the digraph")
-
-
-def _check_witness(d: Digraph, sub: EulerianSubdigraph, forbidden: frozenset[Arc]) -> None:
-    bad = validate_eulerian_subdigraph(d, sub)
+def _revalidate(
+    d: Digraph,
+    cert: EulerianSubdigraph | CutCertificate | ObstructionPartition,
+    avoid: frozenset[Arc] = frozenset(),
+) -> None:
+    """Re-check a certificate against d without the avoided arcs; raises
+    ConstructionError on any violation."""
+    if isinstance(cert, EulerianSubdigraph):
+        bad = validate_eulerian_subdigraph(d, cert)
+        if cert.arcs & avoid:
+            bad.append("uses an avoided arc")
+    else:
+        bad = cert.check(d, avoid)
     if bad:
-        raise ConstructionError(f"witness failed validation: {bad}")
-    if sub.arcs & forbidden:
-        raise ConstructionError("witness uses a forbidden arc")
-
-
-def _check_partition(d: Digraph, part: ObstructionPartition, avoid: frozenset[Arc]) -> None:
-    bad = part.check(d, avoid)
-    if bad:
-        raise ConstructionError(f"obstruction partition failed validation: {bad}")
+        raise ConstructionError(f"{type(cert).__name__} failed validation: {bad}")
 
 
 # ---- input handling ----
@@ -200,15 +188,12 @@ def _classify_one(d: Digraph, arc: Arc) -> dict:
     cont = classify_containment(d, arc)
     unav = classify_unavoidable(d, arc)
     if cont.witness is not None:
-        _check_witness(d, cont.witness, frozenset())
+        _revalidate(d, cont.witness)
         if arc not in cont.witness.arcs:
             raise ConstructionError("containment witness misses its own arc")
-    if unav.cut_certificate is not None:
-        _check_cut(d.remove_arcs([arc]), unav.cut_certificate, frozenset())
-    if unav.partition is not None:
-        _check_partition(d, unav.partition, frozenset((arc,)))
-    if unav.avoidance_witness is not None:
-        _check_witness(d, unav.avoidance_witness, frozenset((arc,)))
+    for cert in (unav.cut_certificate, unav.partition, unav.avoidance_witness):
+        if cert is not None:
+            _revalidate(d, cert, frozenset((arc,)))
     return {
         "arc": [arc[0], arc[1]],
         "good": cont.in_some,
@@ -269,7 +254,7 @@ def cmd_trail(args: argparse.Namespace) -> int:
         raise PreconditionError("endpoints must be two distinct vertices")
     probe = arc_disjoint_paths(d, x, y, 2)
     if isinstance(probe, CutCertificate):
-        _check_cut(d, probe, frozenset())
+        _revalidate(d, probe)
         if len(probe.crossing_arcs) >= 2:
             raise ConstructionError("cut certificate does not refute two paths")
         _say(args, f"no two arc-disjoint paths {x}->{y}: cut of size {len(probe.crossing_arcs)}")
@@ -292,12 +277,12 @@ def cmd_avoid(args: argparse.Namespace) -> int:
     forbidden = _load_arc_file(args.arcs) if args.arcs else frozenset()
     result = spanning_eulerian_avoiding(d, forbidden)
     if isinstance(result, EulerianSubdigraph):
-        _check_witness(d, result, forbidden)
+        _revalidate(d, result, forbidden)
         _say(args, f"certificate with {len(result.arcs)} arcs")
         _emit({"certificate": _arc_rows(result.arcs), "obstruction": None})
         return EXIT_CERTIFICATE
     if isinstance(result, NonStrongCut):
-        _check_cut(d, result.certificate, forbidden)
+        _revalidate(d, result.certificate, forbidden)
         _say(args, "obstruction: allowed arcs are not strongly connected")
         _emit(
             {
@@ -307,7 +292,7 @@ def cmd_avoid(args: argparse.Namespace) -> int:
         )
         return EXIT_OBSTRUCTION
     if isinstance(result, ObstructionPartition):
-        _check_partition(d, result, forbidden)
+        _revalidate(d, result, forbidden)
         _say(args, "obstruction: no eulerian factor avoids the set")
         _emit(
             {

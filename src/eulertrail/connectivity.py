@@ -28,6 +28,22 @@ class CutCertificate:
     side_t: frozenset[int]
     crossing_arcs: frozenset[Arc]
 
+    def check(self, d: Digraph, ignore: frozenset[Arc] = frozenset()) -> list[str]:
+        """Violation report against a digraph whose ``ignore`` arcs count
+        as absent; empty means the sides partition the vertices and the
+        crossing arcs are exactly the remaining arcs from S to T."""
+        s, t = set(self.side_s), set(self.side_t)
+        if s & t or s | t != set(d.vertices()) or not s or not t:
+            return ["sides do not partition the vertices"]
+        crossing = {
+            (u, v)
+            for u, v in d.arcs()
+            if u in s and v in t and (u, v) not in ignore
+        }
+        if crossing != set(self.crossing_arcs):
+            return ["crossing arcs do not match the digraph"]
+        return []
+
 
 def _closure(rows: tuple[int, ...], start: int) -> int:
     """Mask of vertices reachable from ``start`` along ``rows`` adjacency."""

@@ -16,6 +16,10 @@ from .errors import ParseError, PreconditionError
 
 Arc = tuple[int, int]
 
+# largest vertex count ``parse_json`` accepts; the adjacency rows are
+# allocated before anything else can refuse an input
+MAX_VERTICES = 1000
+
 
 def _mask_bits(mask: int) -> Iterator[int]:
     """Yield the set bit positions of ``mask`` in increasing order."""
@@ -298,6 +302,8 @@ def parse_json(text: str) -> Digraph:
     n = obj["n"]
     if not isinstance(n, int) or isinstance(n, bool) or n < 0:
         raise ParseError('"n" must be a non-negative integer')
+    if n > MAX_VERTICES:
+        raise ParseError(f'"n" must be at most {MAX_VERTICES}')
     raw = obj["arcs"]
     if not isinstance(raw, list):
         raise ParseError('"arcs" must be a list of [tail, head] pairs')

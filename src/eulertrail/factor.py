@@ -16,7 +16,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from ._flow import circulation_with_cut
+from ._flow import degree_bounded_subgraph
 from .connectivity import (
     CutCertificate,
     arc_connectivity,
@@ -26,7 +26,7 @@ from .connectivity import (
 from .digraph import Arc, Digraph
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
-from .trails import EulerianSubdigraph, closed_tour
+from .trails import EulerianSubdigraph, _weak_components, closed_tour
 
 ArcSet = frozenset[Arc]
 
@@ -104,23 +104,12 @@ class MergeOption:
 # ---- eulerian factors ----
 
 
-def _weak_components(n: int, arcs) -> list[frozenset[int]]:
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in arcs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(groups[r]) for r in sorted(groups)]
+def _factor_arcs(
+    n: int, arcs: list[Arc]
+) -> tuple[list[Arc] | None, frozenset[int], frozenset[int]]:
+    """Arcs of a factor picked from ``arcs``: every vertex balanced and on
+    at least one of them."""
+    return degree_bounded_subgraph(n, arcs, [1] * n, [max(1, n)] * n)
 
 
 def eulerian_factor(
@@ -128,42 +117,31 @@ def eulerian_factor(
 ) -> EulerianFactor | ObstructionPartition:
     """An eulerian factor avoiding the given arcs, or the obstruction.
 
-    Works on arbitrary digraphs.  The factor is found as a circulation
-    with per-vertex lower bound one on a split-node network; when the
-    circulation is infeasible the residual cut is refined into an
-    ObstructionPartition and verified before being returned.
+    Works on arbitrary digraphs.  The factor is found as a degree-bounded
+    subgraph with every vertex on at least one arc; when none exists the
+    blocking cut is refined into an ObstructionPartition and verified
+    before being returned.
     """
     avoid = frozenset(avoid)
     for a in avoid:
         if not d.has_arc(*a):
             raise PreconditionError(f"avoided arc {a} is not in the digraph")
-    n = d.n
-    edges: list[tuple[int, int, int, int]] = []
-    slots: list[Arc] = []
-    for u, v in d.arcs():
-        if (u, v) in avoid:
-            continue
-        edges.append((n + u, v, 0, 1))
-        slots.append((u, v))
-    for v in range(n):
-        edges.append((v, n + v, 1, max(1, n)))
-    flows, reached = circulation_with_cut(2 * n, edges)
-    if flows is not None:
-        arcs = frozenset(slots[i] for i in range(len(slots)) if flows[i] == 1)
-        return EulerianFactor(arcs, tuple(_weak_components(n, arcs)))
-    return _refine_obstruction(d, avoid, reached)
+    picked, entry, exit_ = _factor_arcs(d.n, [a for a in d.arcs() if a not in avoid])
+    if picked is not None:
+        arcs = frozenset(picked)
+        return EulerianFactor(arcs, tuple(_weak_components(d.n, arcs)))
+    return _refine_obstruction(d, avoid, entry, exit_)
 
 
 def _refine_obstruction(
-    d: Digraph, avoid: ArcSet, reached: frozenset[int]
+    d: Digraph, avoid: ArcSet, entry: frozenset[int], exit_: frozenset[int]
 ) -> ObstructionPartition:
-    n = d.n
     y_side: set[int] = set()
     r2: set[int] = set()
     r1: set[int] = set()
-    for v in range(n):
-        in_r = v in reached
-        out_r = (n + v) in reached
+    for v in range(d.n):
+        in_r = v in entry
+        out_r = v in exit_
         if out_r and not in_r:
             y_side.add(v)
         elif not out_r and not in_r:
@@ -420,87 +398,6 @@ def merge_all(
     return None
 
 
-def check_merge_obstructions(
-    d: Digraph,
-    h1: ArcSet | set[Arc],
-    h2: ArcSet | set[Arc],
-    avoid: ArcSet | set[Arc] = frozenset(),
-) -> dict[str, MergeOption | None]:
-    """Which of the five pairwise merge patterns apply to two components.
-
-    Keys "a" through "e": crossing 2-cycle, insertion through a foreign
-    vertex, arc swap, universal mixed-vertex insertion, and revisit
-    reroute.  A value of None means the pattern yields no move; all five
-    None means the pair is stuck.
-    """
-    avoid = frozenset(avoid)
-    h1, h2 = frozenset(h1), frozenset(h2)
-    current = set(h1 | h2)
-    v1 = sorted({v for a in h1 for v in a})
-    v2 = sorted({v for a in h2 for v in a})
-    out: dict[str, MergeOption | None] = dict.fromkeys("abcde")
-
-    def allowed(u: int, v: int) -> bool:
-        return _allowed_add(d, avoid, current, u, v)
-
-    for u in v1:
-        for v in v2:
-            if allowed(u, v) and allowed(v, u):
-                out["a"] = MergeOption(
-                    "a", frozenset(((u, v), (v, u))), frozenset()
-                )
-                break
-        if out["a"]:
-            break
-    for arcs, verts in ((h1, v2), (h2, v1)):
-        for u, v in sorted(arcs):
-            for w in verts:
-                if allowed(u, w) and allowed(w, v):
-                    out["b"] = out["b"] or MergeOption(
-                        "b", frozenset(((u, w), (w, v))), frozenset(((u, v),))
-                    )
-    for u, v in sorted(h1):
-        for w, z in sorted(h2):
-            if allowed(u, z) and allowed(w, v):
-                out["c"] = out["c"] or MergeOption(
-                    "c", frozenset(((u, z), (w, v))), frozenset(((u, v), (w, z)))
-                )
-
-    def adjacent(u: int, v: int) -> bool:
-        return (d.has_arc(u, v) and (u, v) not in avoid) or (
-            d.has_arc(v, u) and (v, u) not in avoid
-        )
-
-    for arcs, verts, others in ((h1, v1, v2), (h2, v2, v1)):
-        tour = closed_tour(arcs, min(verts))
-        k = len(tour)
-        for x in others:
-            if not all(adjacent(x, v) for v in verts):
-                continue
-            for i in range(k):
-                if allowed(tour[i], x) and allowed(x, tour[(i + 1) % k]):
-                    out["d"] = out["d"] or MergeOption(
-                        "d",
-                        frozenset(((tour[i], x), (x, tour[(i + 1) % k]))),
-                        frozenset(((tour[i], tour[(i + 1) % k]),)),
-                    )
-        visits: dict[int, int] = {}
-        for v in tour:
-            visits[v] = visits.get(v, 0) + 1
-        for idx, y in enumerate(tour):
-            if visits[y] < 2:
-                continue
-            p, s = tour[idx - 1], tour[(idx + 1) % k]
-            for x in others:
-                if allowed(p, x) and allowed(x, s):
-                    out["e"] = out["e"] or MergeOption(
-                        "e",
-                        frozenset(((p, x), (x, s))),
-                        frozenset(((p, y), (y, s))),
-                    )
-    return out
-
-
 # ---- the avoiding pipeline ----
 
 
@@ -522,40 +419,28 @@ def is_semicomplete_multipartite(d: Digraph) -> bool:
     return True
 
 
-def _perturbed_factor(
-    d: Digraph, avoid: ArcSet, seed: int
-) -> ArcSet | None:
-    """A factor found with a shuffled arc order, for retry diversity."""
-    n = d.n
-    rng = random.Random(seed)
-    pool = [a for a in d.arcs() if a not in avoid]
-    rng.shuffle(pool)
-    edges: list[tuple[int, int, int, int]] = []
-    for u, v in pool:
-        edges.append((n + u, v, 0, 1))
-    for v in range(n):
-        edges.append((v, n + v, 1, max(1, n)))
-    flows, _ = circulation_with_cut(2 * n, edges)
-    if flows is None:
-        return None
-    return frozenset(pool[i] for i in range(len(pool)) if flows[i] == 1)
-
-
 def _factor_then_merge(
-    base: Digraph, trace: list[str] | None
+    d: Digraph, forbidden: ArcSet, trace: list[str] | None
 ) -> EulerianSubdigraph | ObstructionPartition | None:
-    """Decide a spanning eulerian subdigraph of ``base`` via factor + merge."""
-    fac = eulerian_factor(base)
+    """Decide a spanning eulerian subdigraph of d avoiding the forbidden
+    arcs via factor + merge.
+
+    When the merge gets stuck, factors found from shuffled orders of the
+    allowed arcs get another try.  A factor exists whatever the order, so
+    each shuffle yields one.
+    """
+    fac = eulerian_factor(d, forbidden)
     if isinstance(fac, ObstructionPartition):
         return fac
-    merged = merge_all(base, fac.arcs)
+    merged = merge_all(d, fac.arcs, forbidden)
     if merged is not None:
         return EulerianSubdigraph(merged)
+    allowed = [a for a in d.arcs() if a not in forbidden]
     for seed in range(1, 7):
-        alt = _perturbed_factor(base, frozenset(), seed)
-        if alt is None:
-            continue
-        merged = merge_all(base, alt)
+        pool = allowed[:]
+        random.Random(seed).shuffle(pool)
+        picked, _, _ = _factor_arcs(d.n, pool)
+        merged = merge_all(d, frozenset(picked), forbidden)
         if merged is not None:
             if trace is not None:
                 trace.append("merge-retry")
@@ -580,8 +465,8 @@ def spanning_eulerian_avoiding(
     with high arc-connectivity relative to the number of forbidden arcs,
     the arcs inside each forbidden cluster are discarded wholesale, which
     also lands in the multipartite case; otherwise factor plus merge runs
-    on the full digraph, with perturbed retries and, on small inputs, an
-    exhaustive search as the last word.
+    on the full digraph.  Every route retries a stuck merge on perturbed
+    factors, and on small inputs an exhaustive search has the last word.
     """
     forbidden = frozenset(forbidden)
     for a in forbidden:
@@ -599,9 +484,6 @@ def spanning_eulerian_avoiding(
     if is_semicomplete_multipartite(rest):
         if trace is not None:
             trace.append("multipartite-direct")
-        got = _factor_then_merge(rest, trace)
-        if got is not None:
-            return got
     else:
         k = len(forbidden)
         bound = ((k + 1) ** 2 + 3) // 4 + 1
@@ -620,26 +502,14 @@ def spanning_eulerian_avoiding(
             if is_strong(dstar) and is_semicomplete_multipartite(dstar):
                 if trace is not None:
                     trace.append("multipartite-reduction")
-                got = _factor_then_merge(dstar, trace)
+                got = _factor_then_merge(dstar, frozenset(), trace)
                 if isinstance(got, EulerianSubdigraph):
                     return got
         if trace is not None:
             trace.append("factor-merge")
-        fac = eulerian_factor(d, forbidden)
-        if isinstance(fac, ObstructionPartition):
-            return fac
-        merged = merge_all(d, fac.arcs, forbidden)
-        if merged is not None:
-            return EulerianSubdigraph(merged)
-        for seed in range(1, 7):
-            alt = _perturbed_factor(d, forbidden, seed)
-            if alt is None:
-                break
-            merged = merge_all(d, alt, forbidden)
-            if merged is not None:
-                if trace is not None:
-                    trace.append("merge-retry")
-                return EulerianSubdigraph(merged)
+    got = _factor_then_merge(d, forbidden, trace)
+    if got is not None:
+        return got
     try:
         found = enumerate_spanning_eulerian(d, must_avoid=forbidden, limit=1)
     except PreconditionError:

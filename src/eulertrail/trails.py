@@ -23,7 +23,7 @@ from .connectivity import (
 from .digraph import Arc, Digraph, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 from .hamilton import SubDigraph, cycle_covering_complement, hamiltonian_cycle
-from ._flow import feasible_circulation
+from ._flow import degree_bounded_subgraph
 
 _INF = float("inf")
 
@@ -108,53 +108,39 @@ def validate_eulerian_subdigraph(d: Digraph, sub: EulerianSubdigraph) -> list[st
 # ---- arc-set utilities ----
 
 
-def _weakly_connected_covering(n: int, arcs) -> bool:
-    if n <= 1:
-        return True
-    adj: dict[int, set[int]] = {}
+def _weak_components(n: int, arcs) -> list[frozenset[int]]:
+    """Vertex sets of the weak components of the arcs on vertices 0..n-1,
+    ordered by smallest member; a vertex on no arc is a component alone."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
     for u, v in arcs:
-        adj.setdefault(u, set()).add(v)
-        adj.setdefault(v, set()).add(u)
-    if len(adj) != n:
-        return False
-    seen = {0}
-    stack = [0]
-    while stack:
-        for w in adj.get(stack.pop(), ()):
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) == n
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, set[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(groups[r]) for r in sorted(groups)]
 
 
-def arcs_to_trail(arcs, x: int, y: int) -> Trail:
-    """Order an (x,y)-balanced arc set into one open trail (Hierholzer)."""
+def _weakly_connected_covering(n: int, arcs) -> bool:
+    return len(_weak_components(n, arcs)) <= 1
+
+
+def _euler_walk(arcs: list[Arc], start: int) -> list[int]:
+    """Hierholzer walk from start that takes the smallest unused head
+    first; it uses every arc only when the arcs form one trail."""
     succ: dict[int, list[int]] = {}
     for u, v in arcs:
         succ.setdefault(u, []).append(v)
     for heads in succ.values():
         heads.sort(reverse=True)  # pop() takes the smallest head
-    stack = [x]
-    walk: list[int] = []
-    while stack:
-        v = stack[-1]
-        if succ.get(v):
-            stack.append(succ[v].pop())
-        else:
-            walk.append(stack.pop())
-    walk.reverse()
-    if len(walk) != len(list(arcs)) + 1 or walk[0] != x or walk[-1] != y:
-        raise ConstructionError("arc set does not form a single (x,y)-trail")
-    return Trail(tuple(walk))
-
-
-def closed_tour(arcs, start: int) -> list[int]:
-    """Vertex sequence of a closed eulerian tour of a balanced arc set."""
-    succ: dict[int, list[int]] = {}
-    for u, v in arcs:
-        succ.setdefault(u, []).append(v)
-    for heads in succ.values():
-        heads.sort(reverse=True)
     stack = [start]
     walk: list[int] = []
     while stack:
@@ -164,7 +150,23 @@ def closed_tour(arcs, start: int) -> list[int]:
         else:
             walk.append(stack.pop())
     walk.reverse()
-    if len(walk) != len(list(arcs)) + 1 or walk[0] != start or walk[-1] != start:
+    return walk
+
+
+def arcs_to_trail(arcs, x: int, y: int) -> Trail:
+    """Order an (x,y)-balanced arc set into one open trail (Hierholzer)."""
+    arcs = list(arcs)
+    walk = _euler_walk(arcs, x)
+    if len(walk) != len(arcs) + 1 or walk[-1] != y:
+        raise ConstructionError("arc set does not form a single (x,y)-trail")
+    return Trail(tuple(walk))
+
+
+def closed_tour(arcs, start: int) -> list[int]:
+    """Vertex sequence of a closed eulerian tour of a balanced arc set."""
+    arcs = list(arcs)
+    walk = _euler_walk(arcs, start)
+    if len(walk) != len(arcs) + 1 or walk[-1] != start:
         raise ConstructionError("arc set does not form a single closed tour")
     return walk[:-1]
 
@@ -400,28 +402,17 @@ def _completion_case(
     """Cover the vertices missed by one path with cycles via circulation."""
     t0 = set(_path_arcs(base_path))
     covered = set(base_path)
-    edges: list[tuple[int, int, int, int]] = []
-    arc_slots: list[Arc] = []
-    for u, v in dprime.arcs():
-        if (u, v) in t0:
-            continue
-        edges.append((d.n + u, v, 0, 1))
-        arc_slots.append((u, v))
     out_t0: dict[int, int] = {}
     for u, _ in t0:
         out_t0[u] = out_t0.get(u, 0) + 1
-    for v in range(d.n):
-        cap = (1 if v == y else 2) - out_t0.get(v, 0)
-        lo = 0 if v in covered else 1
-        if cap < lo:
-            return None
-        edges.append((v, d.n + v, lo, cap))
-    flows = feasible_circulation(2 * d.n, edges)
-    if flows is None:
+    lo = [0 if v in covered else 1 for v in range(d.n)]
+    hi = [(1 if v == y else 2) - out_t0.get(v, 0) for v in range(d.n)]
+    rest = [a for a in dprime.arcs() if a not in t0]
+    picked, _, _ = degree_bounded_subgraph(d.n, rest, lo, hi)
+    if picked is None:
         return None
     _note(trace, "circulation-completion")
-    extra = {arc_slots[i] for i in range(len(arc_slots)) if flows[i] == 1}
-    return frozenset(t0 | extra)
+    return frozenset(t0.union(picked))
 
 
 def _trail_arcs(

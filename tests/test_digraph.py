@@ -3,6 +3,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 import eulertrail as et
+from eulertrail.digraph import MAX_VERTICES
 from instances import complete, t4, three_cycle, transitive
 
 
@@ -140,6 +141,7 @@ def test_parse_json_rejects_malformed_input() -> None:
         '{"n": 3, "arcs": [[0, true]]}',
         '{"n": 2, "arcs": [[0, 5]]}',
         '{"n": 2, "arcs": "01"}',
+        f'{{"n": {MAX_VERTICES + 1}, "arcs": []}}',
     ]:
         with pytest.raises(et.ParseError):
             et.parse_json(text)

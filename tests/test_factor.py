@@ -124,18 +124,6 @@ def test_merge_all_respects_avoid() -> None:
     assert not (merged & avoid)
 
 
-def test_check_merge_obstructions_reports_options() -> None:
-    d = complete(6)
-    h1 = {(0, 1), (1, 2), (2, 0)}
-    h2 = {(3, 4), (4, 5), (5, 3)}
-    options = et.check_merge_obstructions(d, h1, h2)
-    assert set(options) == {"a", "b", "c", "d", "e"}
-    two_cycle = options["a"]
-    assert two_cycle is not None
-    u, v = next(iter(two_cycle.add_arcs))
-    assert d.has_arc(u, v) and d.has_arc(v, u)
-
-
 def test_is_semicomplete_multipartite() -> None:
     assert is_semicomplete_multipartite(complete(4))
     pair = complete(4).remove_arcs([(0, 1), (1, 0)])
@@ -193,6 +181,21 @@ def test_trace_multipartite_reduction_route() -> None:
     assert "multipartite-reduction" in trace
     assert not (result.arcs & forbidden)
     assert et.validate_eulerian_subdigraph(complete(9), result) == []
+
+
+def test_stuck_merge_is_retried_on_a_shuffled_factor() -> None:
+    d = et.Digraph(
+        5,
+        [(0, 1), (0, 3), (1, 3), (2, 0), (2, 1), (2, 4), (3, 0), (3, 1),
+         (3, 2), (3, 4), (4, 0), (4, 1), (4, 2)],
+    )
+    forbidden = frozenset({(2, 0), (4, 0)})
+    trace: list[str] = []
+    result = et.spanning_eulerian_avoiding(d, forbidden, trace=trace)
+    assert isinstance(result, et.EulerianSubdigraph)
+    assert et.validate_eulerian_subdigraph(d, result) == []
+    assert not (result.arcs & forbidden)
+    assert trace == ["factor-merge", "merge-retry"]
 
 
 def test_star_sets_with_high_connectivity_always_succeed() -> None:
