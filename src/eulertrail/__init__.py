@@ -71,8 +71,6 @@ from .trails import (
     Trail,
     is_eulerian_connected,
     spanning_trail,
-    validate_eulerian_subdigraph,
-    validate_trail,
 )
 
 __all__ = [
@@ -127,7 +125,5 @@ __all__ = [
     "taxonomy_labels",
     "to_dot",
     "unavoidable_arcs",
-    "validate_eulerian_subdigraph",
-    "validate_trail",
     "verify_structure",
 ]

@@ -21,6 +21,7 @@ from .connectivity import (
     arc_disjoint_paths,
     cut_arcs,
     is_strong,
+    shortest_walk,
     strong_components,
 )
 from .decomposition import (
@@ -29,12 +30,12 @@ from .decomposition import (
     natural_backward_ordering,
     nice_decomposition,
 )
-from .digraph import Arc, Digraph, is_semicomplete
+from .digraph import Arc, Digraph, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .factor import ObstructionPartition, merge_all, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
 from .hamilton import hamiltonian_path_between, path_within
-from .trails import EulerianSubdigraph, spanning_trail, validate_eulerian_subdigraph
+from .trails import EulerianSubdigraph, spanning_trail
 
 
 @dataclass(frozen=True)
@@ -64,8 +65,7 @@ def _require(d: Digraph, arc: Arc) -> None:
         raise PreconditionError("classification requires a semicomplete digraph")
     if not is_strong(d):
         raise PreconditionError("classification requires a strong digraph")
-    if not d.has_arc(*arc):
-        raise PreconditionError(f"arc {arc} is not in the digraph")
+    require_arcs(d, [arc], "arc")
 
 
 # ---- containment ----
@@ -80,7 +80,7 @@ def _tiny_witness(d: Digraph, arc: Arc) -> EulerianSubdigraph | None:
         if arc not in chosen:
             continue
         sub = EulerianSubdigraph(frozenset(chosen))
-        if not validate_eulerian_subdigraph(d, sub):
+        if not sub.check(d):
             return sub
     return None
 
@@ -169,25 +169,12 @@ def _backward_witness(d: Digraph, dec: Decomposition) -> frozenset[Arc]:
 
 def _inner_path(d: Digraph, within: frozenset[int], a: int, b: int) -> list[int]:
     """Shortest path from a to b inside one induced strong set."""
-    sub, ids = d.induced(within)
-    al, bl = ids.index(a), ids.index(b)
-    parent = {al: -1}
-    frontier = [al]
-    while frontier and bl not in parent:
-        nxt: list[int] = []
-        for w in frontier:
-            for z in sub.out_neighbors(w):
-                if z not in parent:
-                    parent[z] = w
-                    nxt.append(z)
-        frontier = nxt
-    if bl not in parent:
+    path = shortest_walk(
+        lambda v: (w for w in d.out_neighbors(v) if w in within), [a], {b}
+    )
+    if path is None:
         raise ConstructionError("no path inside a strong set")
-    path = [bl]
-    while path[-1] != al:
-        path.append(parent[path[-1]])
-    path.reverse()
-    return [ids[w] for w in path]
+    return path
 
 
 def _trail_route_witness(d: Digraph, arc: Arc) -> frozenset[Arc]:
@@ -217,8 +204,7 @@ def _forced_flow_witness(
     if picked is None:
         return None
     candidate = frozenset(forced.union(picked))
-    sub = EulerianSubdigraph(candidate)
-    if not validate_eulerian_subdigraph(d, sub):
+    if not EulerianSubdigraph(candidate).check(d):
         return candidate
     merged = merge_all(d, candidate, protected=frozenset(forced))
     return merged
@@ -259,7 +245,7 @@ def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
     if witness_arcs is None:
         raise ConstructionError(f"no witness construction succeeded for {arc}")
     sub = EulerianSubdigraph(witness_arcs)
-    bad = validate_eulerian_subdigraph(d, sub)
+    bad = sub.check(d)
     if bad or arc not in witness_arcs:
         raise ConstructionError(f"witness for {arc} failed validation: {bad}")
     return ArcContainment(arc, True, None, sub)
@@ -384,8 +370,8 @@ def classify_unavoidable(d: Digraph, arc: Arc) -> ArcUnavoidability:
         raise ConstructionError(
             f"arc {arc} passed the avoidability tests but no witness was found"
         )
-    bad = validate_eulerian_subdigraph(d, got)
-    if bad or arc in got.arcs:
+    bad = got.check(d, frozenset((arc,)))
+    if bad:
         raise ConstructionError(f"avoidance witness for {arc} invalid: {bad}")
     return ArcUnavoidability(arc, False, None, None, None, got)
 

@@ -4,6 +4,10 @@ The max-flow kernel is a plain BFS-augmenting unit-capacity flow over the
 digraph's own arcs.  Residual traversal accounts for 2-cycles: pushing flow
 on (u,v) while (v,u) carries flow cancels the reverse unit instead of
 stacking, so per-arc values stay in {0,1}.
+
+The other modules share two walks from here: ``shortest_walk``, a
+breadth-first shortest-walk search, and ``flow_paths``, which reads
+paths off flow arcs.
 """
 
 from __future__ import annotations
@@ -11,9 +15,10 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Callable, Container, Iterable
 
 from .digraph import Arc, Digraph, _mask_bits
-from .errors import PreconditionError
+from .errors import ConstructionError, PreconditionError
 
 
 @dataclass(frozen=True)
@@ -165,6 +170,69 @@ def cut_arcs(d: Digraph) -> frozenset[Arc]:
     return frozenset(result)
 
 
+# ---- walks ----
+
+
+def shortest_walk(
+    succ: Callable[[int], Iterable[int]],
+    sources: Iterable[int],
+    targets: Container[int],
+) -> list[int] | None:
+    """Shortest walk of at least one arc from a source to a target.
+
+    Breadth-first search that tries the heads ``succ(v)`` in the order
+    given and the sources in the order given, so ties break the same way
+    on every run.  A source that is also a target is reached only by a
+    cycle.  Returns the walk's vertices, or None when no target is
+    reachable.
+    """
+    parent = dict.fromkeys(sources, -1)
+    queue = list(parent)
+    for v in queue:  # the queue grows while it is read
+        for w in succ(v):
+            if w in targets:
+                walk = [w]
+                while v != -1:
+                    walk.append(v)
+                    v = parent[v]
+                walk.reverse()
+                return walk
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None
+
+
+def flow_paths(arcs: Iterable[Arc], x: int, y: int, k: int) -> list[list[int]]:
+    """k simple (x,y)-paths read off the arcs of an integral flow.
+
+    Each walk leaves x and takes the unused arc with the smallest head
+    until it reaches y; when it returns to a vertex, the cycle in between
+    is spliced out.  Raises ConstructionError when a walk stops short of y.
+    """
+    heads: dict[int, list[int]] = {}
+    for u, v in sorted(arcs, reverse=True):
+        heads.setdefault(u, []).append(v)  # pop() takes the smallest head
+    paths: list[list[int]] = []
+    for _ in range(k):
+        path = [x]
+        pos = {x: 0}
+        v = x
+        while v != y:
+            if not heads.get(v):
+                raise ConstructionError(f"flow walk stopped at {v}, short of {y}")
+            v = heads[v].pop()
+            if v in pos:
+                for gone in path[pos[v] + 1 :]:
+                    del pos[gone]
+                del path[pos[v] + 1 :]
+            else:
+                pos[v] = len(path)
+                path.append(v)
+        paths.append(path)
+    return paths
+
+
 # ---- unit-capacity max flow ----
 
 
@@ -278,34 +346,4 @@ def arc_disjoint_paths(
     value, flow, reached = _max_flow(d, x, y, limit=k)
     if value < k:
         return _certificate_from_mask(d, reached)
-    live = {a for a, f in flow.items() if f == 1}
-    paths: list[list[int]] = []
-    for _ in range(k):
-        walk = [x]
-        v = x
-        while True:
-            step = None
-            for w in _mask_bits(d.out_mask(v)):
-                if (v, w) in live:
-                    step = w
-                    break
-            if step is None:
-                break
-            live.discard((v, step))
-            walk.append(step)
-            v = step
-        if walk[-1] != y:
-            raise AssertionError("flow walk did not terminate at the sink")
-        # splice out revisited-vertex cycles to leave a simple path
-        simple: list[int] = []
-        pos: dict[int, int] = {}
-        for w in walk:
-            if w in pos:
-                for gone in simple[pos[w] + 1 :]:
-                    del pos[gone]
-                simple = simple[: pos[w] + 1]
-            else:
-                pos[w] = len(simple)
-                simple.append(w)
-        paths.append(simple)
-    return paths
+    return flow_paths({a for a, f in flow.items() if f == 1}, x, y, k)

@@ -165,6 +165,15 @@ class Digraph:
 # ---- predicates ----
 
 
+def require_arcs(d: Digraph, arcs: Iterable[Arc], role: str) -> None:
+    """Raise ``PreconditionError`` naming the first of ``arcs`` that is not
+    an arc of d.  Unlike ``has_arc``, which hot loops call unchecked, this
+    refuses ends outside 0..n-1, negative ones included."""
+    for u, v in arcs:
+        if not (0 <= u < d.n and 0 <= v < d.n and d.has_arc(u, v)):
+            raise PreconditionError(f"{role} {(u, v)} is not in the digraph")
+
+
 def is_semicomplete(d: Digraph) -> bool:
     """True iff every unordered vertex pair is joined by at least one arc."""
     for u in range(d.n):

@@ -22,8 +22,9 @@ from .connectivity import (
     arc_connectivity,
     arc_connectivity_certificate,
     is_strong,
+    shortest_walk,
 )
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
 from .trails import EulerianSubdigraph, _weak_components, closed_tour
@@ -123,9 +124,7 @@ def eulerian_factor(
     before being returned.
     """
     avoid = frozenset(avoid)
-    for a in avoid:
-        if not d.has_arc(*a):
-            raise PreconditionError(f"avoided arc {a} is not in the digraph")
+    require_arcs(d, avoid, "avoided arc")
     picked, entry, exit_ = _factor_arcs(d.n, [a for a in d.arcs() if a not in avoid])
     if picked is not None:
         arcs = frozenset(picked)
@@ -193,31 +192,14 @@ def factor_exists_guarantee(d: Digraph, k: int) -> bool:
 def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
     """Whether the arcs' underlying undirected edges form disjoint stars.
 
-    Opposite arcs collapse onto one edge.  Every connected group of
-    edges must share a single common endpoint.
+    Opposite arcs collapse onto one edge.  Every weak component with an
+    edge must have one vertex that is an endpoint of all its arcs.
     """
-    edges = {frozenset((u, v)) for u, v in arcs}
-    if not edges:
-        return True
-    adj: dict[int, set[frozenset]] = {}
-    for e in edges:
-        for v in e:
-            adj.setdefault(v, set()).add(e)
-    unvisited = set(edges)
-    while unvisited:
-        seed = unvisited.pop()
-        group = {seed}
-        frontier = [seed]
-        while frontier:
-            e = frontier.pop()
-            for v in e:
-                for other in adj[v]:
-                    if other in unvisited:
-                        unvisited.discard(other)
-                        group.add(other)
-                        frontier.append(other)
-        common = set.intersection(*(set(e) for e in group))
-        if not common:
+    arcs = list(arcs)
+    n = 1 + max((max(a) for a in arcs), default=-1)
+    for comp in _weak_components(n, arcs):
+        inner = [a for a in arcs if a[0] in comp]
+        if inner and not any(all(v in a for a in inner) for v in comp):
             return False
     return True
 
@@ -243,27 +225,10 @@ def _cross_cycle(
         ):
             succ.setdefault(u, []).append(v)
     for s in range(d.n):
-        if s not in succ:
-            continue
-        parent: dict[int, int] = {s: -1}
-        frontier = [s]
-        while frontier:
-            nxt: list[int] = []
-            for v in frontier:
-                for w in succ.get(v, ()):
-                    if w == s:
-                        seq = [v]
-                        while seq[-1] != s:
-                            seq.append(parent[seq[-1]])
-                        seq.reverse()
-                        return [
-                            (seq[i], seq[(i + 1) % len(seq)])
-                            for i in range(len(seq))
-                        ]
-                    if w not in parent:
-                        parent[w] = v
-                        nxt.append(w)
-            frontier = nxt
+        if s in succ:
+            cycle = shortest_walk(lambda v: succ.get(v, ()), [s], {s})
+            if cycle is not None:
+                return list(zip(cycle, cycle[1:]))
     return None
 
 
@@ -469,9 +434,7 @@ def spanning_eulerian_avoiding(
     factors, and on small inputs an exhaustive search has the last word.
     """
     forbidden = frozenset(forbidden)
-    for a in forbidden:
-        if not d.has_arc(*a):
-            raise PreconditionError(f"forbidden arc {a} is not in the digraph")
+    require_arcs(d, forbidden, "forbidden arc")
     if d.n <= 1:
         return EulerianSubdigraph(frozenset())
     rest = d.remove_arcs(forbidden)

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import is_strong, strong_components
+from .connectivity import is_strong, shortest_walk, strong_components
 from .digraph import Arc, Digraph, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 
@@ -232,63 +232,22 @@ def cycle_covering_complement(d: Digraph, f: SubDigraph, z: int) -> list[int]:
         raise PreconditionError("d minus the arcs of f must be strong")
     core = (set(d.vertices()) - set(f.vertices)) | {z}
     if len(core) == 1:
-        # degenerate: find a shortest cycle through z in h
-        frontier = [z]
-        seen = {z}
-        parent: dict[int, int] = {}
-        cycle_end: int | None = None
-        while frontier and cycle_end is None:
-            nxt: list[int] = []
-            for v in frontier:
-                for w in h.out_neighbors(v):
-                    if w == z:
-                        cycle_end = v
-                        break
-                    if w not in seen:
-                        seen.add(w)
-                        parent[w] = v
-                        nxt.append(w)
-                if cycle_end is not None:
-                    break
-            frontier = nxt
-        if cycle_end is None:
+        # degenerate: a shortest cycle through z in h
+        cycle = shortest_walk(h.out_neighbors, [z], {z})
+        if cycle is None:
             raise ConstructionError("no cycle through z in a strong digraph")
-        seq = [cycle_end]
-        while seq[-1] != z:
-            seq.append(parent[seq[-1]])
-        return list(reversed(seq))
+        return cycle[:-1]
     sub, ids = d.induced(core)
     if is_strong(sub):
         return [ids[v] for v in hamiltonian_cycle(sub)]
     comps = strong_components(sub)
     first = {ids[v] for v in comps[0]}
     last = {ids[v] for v in comps[-1]}
-    # shortest path in h from the in-generator side back to the out-generator side
-    parent = {}
-    seen = set(last)
-    frontier = sorted(last)
-    hit: int | None = None
-    while frontier and hit is None:
-        nxt = []
-        for v in frontier:
-            for w in h.out_neighbors(v):
-                if w in seen:
-                    continue
-                seen.add(w)
-                parent[w] = v
-                if w in first:
-                    hit = w
-                    break
-                nxt.append(w)
-            if hit is not None:
-                break
-        frontier = nxt
-    if hit is None:
+    # shortest path in h from the in-generator side back to the out-generator
+    # side: it runs from a last-component vertex to a first-component one
+    patch = shortest_walk(h.out_neighbors, sorted(last), first)
+    if patch is None:
         raise ConstructionError("no patch path despite d minus f-arcs being strong")
-    patch = [hit]
-    while patch[-1] not in last:
-        patch.append(parent[patch[-1]])
-    patch.reverse()  # runs from a last-component vertex to a first-component one
     internal = set(patch[1:-1])
     rest = core - internal
     sub2, ids2 = d.induced(rest)

@@ -4,9 +4,10 @@ The central routine, ``spanning_trail``, turns two arc-disjoint (x,y)-paths
 into a spanning (x,y)-trail that avoids the arc yx and leaves every vertex
 at most twice (the terminal y at most once).  The construction runs a case
 ladder over how the digraph decomposes once the shorter path's arcs are
-removed; each case output is validated, and a rejected candidate falls
-through to the next strategy, ending with a completion via circulation and
-finally a brute-force search on small inputs.
+removed.  A candidate is accepted only as a checked trail that keeps that
+promise; a rejected one falls through to the next strategy, ending with a
+completion via circulation and finally a brute-force search on small
+inputs.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from .connectivity import (
     CutCertificate,
     arc_connectivity,
     arc_disjoint_paths,
+    flow_paths,
     is_strong,
     strong_components,
 )
@@ -48,6 +50,23 @@ class Trail:
             for i in range(len(self.vertices) - 1)
         ]
 
+    def check(self, d: Digraph, x: int, y: int) -> list[str]:
+        """Violation report for a claimed spanning (x,y)-trail of d; empty
+        means valid."""
+        issues: list[str] = []
+        seq = self.vertices
+        if not seq or seq[0] != x or seq[-1] != y:
+            issues.append("endpoints do not match")
+        arcs = self.arcs()
+        for a in arcs:
+            if not d.has_arc(*a):
+                issues.append(f"arc {a} is not in the digraph")
+        if len(set(arcs)) != len(arcs):
+            issues.append("an arc repeats")
+        if set(seq) != set(d.vertices()):
+            issues.append("trail does not cover every vertex")
+        return issues
+
 
 @dataclass(frozen=True)
 class EulerianSubdigraph:
@@ -58,51 +77,27 @@ class EulerianSubdigraph:
     def vertices(self) -> frozenset[int]:
         return frozenset(v for a in self.arcs for v in a)
 
-
-def validate_trail(
-    d: Digraph,
-    trail: Trail,
-    x: int,
-    y: int,
-    require_spanning: bool = True,
-) -> list[str]:
-    """Violation report for a claimed spanning (x,y)-trail; empty means valid."""
-    issues: list[str] = []
-    seq = trail.vertices
-    if not seq or seq[0] != x or seq[-1] != y:
-        issues.append("endpoints do not match")
-    arcs = trail.arcs()
-    for a in arcs:
-        if not d.has_arc(*a):
-            issues.append(f"arc {a} is not in the digraph")
-    if len(set(arcs)) != len(arcs):
-        issues.append("an arc repeats")
-    if require_spanning and set(seq) != set(d.vertices()):
-        issues.append("trail does not cover every vertex")
-    return issues
-
-
-def validate_eulerian_subdigraph(d: Digraph, sub: EulerianSubdigraph) -> list[str]:
-    """Violation report for a claimed spanning eulerian subdigraph."""
-    issues: list[str] = []
-    outs = {v: 0 for v in d.vertices()}
-    ins = {v: 0 for v in d.vertices()}
-    for u, v in sub.arcs:
-        if not d.has_arc(u, v):
-            issues.append(f"arc ({u},{v}) is not in the digraph")
-            return issues
-        outs[u] += 1
-        ins[v] += 1
-    for v in d.vertices():
-        if outs[v] != ins[v]:
-            issues.append(f"vertex {v} is unbalanced")
-        if outs[v] == 0:
-            issues.append(f"vertex {v} is not covered")
-    if issues:
+    def check(self, d: Digraph, avoid: frozenset[Arc] = frozenset()) -> list[str]:
+        """Violation report for a claimed spanning eulerian subdigraph of d
+        whose ``avoid`` arcs count as absent; empty means valid."""
+        issues: list[str] = []
+        outs = [0] * d.n
+        ins = [0] * d.n
+        for u, v in self.arcs:
+            if not d.has_arc(u, v):
+                return [f"arc ({u},{v}) is not in the digraph"]
+            outs[u] += 1
+            ins[v] += 1
+        if not self.arcs.isdisjoint(avoid):
+            issues.append("uses an avoided arc")
+        for v in d.vertices():
+            if outs[v] != ins[v]:
+                issues.append(f"vertex {v} is unbalanced")
+            if outs[v] == 0:
+                issues.append(f"vertex {v} is not covered")
+        if not issues and len(_weak_components(d.n, self.arcs)) > 1:
+            issues.append("arc set is not connected")
         return issues
-    if not _weakly_connected_covering(d.n, sub.arcs):
-        issues.append("arc set is not connected")
-    return issues
 
 
 # ---- arc-set utilities ----
@@ -129,10 +124,6 @@ def _weak_components(n: int, arcs) -> list[frozenset[int]]:
     return [frozenset(groups[r]) for r in sorted(groups)]
 
 
-def _weakly_connected_covering(n: int, arcs) -> bool:
-    return len(_weak_components(n, arcs)) <= 1
-
-
 def _euler_walk(arcs: list[Arc], start: int) -> list[int]:
     """Hierholzer walk from start that takes the smallest unused head
     first; it uses every arc only when the arcs form one trail."""
@@ -154,10 +145,12 @@ def _euler_walk(arcs: list[Arc], start: int) -> list[int]:
 
 
 def arcs_to_trail(arcs, x: int, y: int) -> Trail:
-    """Order an (x,y)-balanced arc set into one open trail (Hierholzer)."""
-    arcs = list(arcs)
-    walk = _euler_walk(arcs, x)
-    if len(walk) != len(arcs) + 1 or walk[-1] != y:
+    """Order an arc set into one open (x,y)-trail (Hierholzer); raises
+    ConstructionError when the arcs form no such trail."""
+    arcs = set(arcs)
+    walk = _euler_walk(list(arcs), x)
+    # on an unbalanced arc set the walk can step between arcs it does not hold
+    if len(walk) != len(arcs) + 1 or walk[-1] != y or set(zip(walk, walk[1:])) != arcs:
         raise ConstructionError("arc set does not form a single (x,y)-trail")
     return Trail(tuple(walk))
 
@@ -173,27 +166,6 @@ def closed_tour(arcs, start: int) -> list[int]:
 
 def _path_arcs(path: list[int]) -> list[Arc]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
-
-
-def _valid_trail_arcs(d: Digraph, arcs: frozenset[Arc] | set[Arc], x: int, y: int) -> bool:
-    outs = [0] * d.n
-    ins = [0] * d.n
-    for u, v in arcs:
-        if not d.has_arc(u, v):
-            return False
-        outs[u] += 1
-        ins[v] += 1
-    if (y, x) in arcs:
-        return False
-    for v in range(d.n):
-        want = 1 if v == x else (-1 if v == y else 0)
-        if outs[v] - ins[v] != want:
-            return False
-        if outs[v] + ins[v] == 0:
-            return False
-        if outs[v] > 2 or (v == y and outs[v] > 1):
-            return False
-    return _weakly_connected_covering(d.n, arcs)
 
 
 # ---- minimal path pair ----
@@ -238,19 +210,7 @@ def _minimal_pair(d: Digraph, x: int, y: int) -> tuple[list[int], list[int]]:
             else:
                 flow.add(arc)
             v = w
-    heads: dict[int, list[int]] = {}
-    for u, v in flow:
-        heads.setdefault(u, []).append(v)
-    for hs in heads.values():
-        hs.sort(reverse=True)
-
-    def walk() -> list[int]:
-        seq = [x]
-        while seq[-1] != y:
-            seq.append(heads[seq[-1]].pop())
-        return seq
-
-    p1, p2 = walk(), walk()
+    p1, p2 = flow_paths(flow, x, y, 2)
     if (len(p2), p2) < (len(p1), p1):
         p1, p2 = p2, p1
     return p1, p2
@@ -322,10 +282,10 @@ def _split_case(
     if x in head and y in head and allow_mirror:
         _note(trace, "mirrored")
         rev = d.reverse()
-        got = _trail_arcs(rev, y, x, allow_mirror=False, trace=trace)
+        got = _ladder_trail(rev, y, x, allow_mirror=False, trace=trace)
         if got is None:
             return None
-        return frozenset((b, a) for a, b in got)
+        return frozenset((b, a) for a, b in got.arcs())
     return None
 
 
@@ -370,10 +330,10 @@ def _absorb_head_side(
     if not isinstance(arc_disjoint_paths(aug, xl, yl, 2), list):
         return None
     _note(trace, "sink-side-recursion")
-    inner = _trail_arcs(aug, xl, yl, allow_mirror=True, trace=trace)
+    inner = _ladder_trail(aug, xl, yl, allow_mirror=True, trace=trace)
     if inner is None:
         return None
-    w_arcs = {(tail_ids[a], tail_ids[b]) for a, b in inner}
+    w_arcs = {(tail_ids[a], tail_ids[b]) for a, b in inner.arcs()}
     if artificial and (w1, y) in w_arcs:
         u = y
         w_arcs.discard((w1, y))
@@ -415,23 +375,36 @@ def _completion_case(
     return frozenset(t0.union(picked))
 
 
-def _trail_arcs(
+def _accepted_trail(d: Digraph, arcs, x: int, y: int) -> Trail | None:
+    """The candidate arcs as a spanning (x,y)-trail of d that keeps
+    ``spanning_trail``'s promise, or None when they are not one."""
+    try:
+        trail = arcs_to_trail(arcs, x, y)
+    except ConstructionError:
+        return None
+    leaves = [0] * d.n
+    for v in trail.vertices[:-1]:
+        leaves[v] += 1
+    if trail.check(d, x, y) or (y, x) in arcs or max(leaves) > 2 or leaves[y] > 1:
+        return None
+    return trail
+
+
+def _ladder_trail(
     d: Digraph,
     x: int,
     y: int,
     allow_mirror: bool,
     trace: list[str] | None,
-) -> frozenset[Arc] | None:
-    """Candidate generation ladder; every candidate is checked before use."""
+) -> Trail | None:
+    """Candidate generation ladder; the first accepted candidate wins."""
 
-    def attempt(thunk) -> frozenset[Arc] | None:
+    def attempt(thunk) -> Trail | None:
         try:
             got = thunk()
         except (PreconditionError, ConstructionError):
             return None
-        if got is not None and _valid_trail_arcs(d, got, x, y):
-            return got
-        return None
+        return None if got is None else _accepted_trail(d, got, x, y)
 
     if d.has_arc(x, y):
         got = attempt(lambda: _direct_arc_case(d, x, y, trace))
@@ -473,10 +446,10 @@ def _trail_arcs(
         found = oracle.find_trail_oracle(d, x, y, must_avoid={(y, x)}, out_cap=caps)
     except PreconditionError:
         return None
-    if found is not None and _valid_trail_arcs(d, found, x, y):
+    got = None if found is None else _accepted_trail(d, found, x, y)
+    if got is not None:
         _note(trace, "exhaustive")
-        return found
-    return None
+    return got
 
 
 def spanning_trail(
@@ -502,13 +475,9 @@ def spanning_trail(
                 f"need two arc-disjoint ({x},{y})-paths; "
                 f"cut {sorted(probe.crossing_arcs)} separates them"
             )
-    arcs = _trail_arcs(d, x, y, allow_mirror=True, trace=trace)
-    if arcs is None:
+    trail = _ladder_trail(d, x, y, allow_mirror=True, trace=trace)
+    if trail is None:
         raise ConstructionError("no spanning trail construction succeeded")
-    trail = arcs_to_trail(arcs, x, y)
-    bad = validate_trail(d, trail, x, y)
-    if bad:
-        raise ConstructionError(f"constructed trail failed validation: {bad}")
     return trail
 
 

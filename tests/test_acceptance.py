@@ -68,7 +68,7 @@ def test_containment_verdicts_match_the_oracle(pool_with_oracle):
             assert cont.in_some == (arc in union), (sorted(d.arcs()), arc)
             if cont.in_some:
                 assert cont.witness is not None
-                assert et.validate_eulerian_subdigraph(d, cont.witness) == []
+                assert cont.witness.check(d) == []
                 assert arc in cont.witness.arcs
             else:
                 assert cont.witness is None
@@ -103,7 +103,7 @@ def test_linked_pairs_admit_spanning_trails():
                 if isinstance(probe, et.CutCertificate):
                     continue
                 trail = et.spanning_trail(d, x, y)
-                assert et.validate_trail(d, trail, x, y) == []
+                assert trail.check(d, x, y) == []
                 arcs = list(zip(trail.vertices, trail.vertices[1:]))
                 assert (y, x) not in arcs
                 out = {}
@@ -130,13 +130,13 @@ def test_two_arc_strong_membership_and_trails():
         for arc in d.arcs():
             cont = et.classify_containment(d, arc)
             assert cont.in_some and cont.witness is not None
-            assert et.validate_eulerian_subdigraph(d, cont.witness) == []
+            assert cont.witness.check(d) == []
             assert arc in cont.witness.arcs
         for x in d.vertices():
             for y in d.vertices():
                 if x != y:
                     trail = et.spanning_trail(d, x, y)
-                    assert et.validate_trail(d, trail, x, y) == []
+                    assert trail.check(d, x, y) == []
     assert time.monotonic() - start < 300
 
 
@@ -178,7 +178,7 @@ def test_guaranteed_avoidance_regimes_always_certify():
             f = frozenset(rng.sample(list(d.arcs()), k))
             res = et.spanning_eulerian_avoiding(d, f)
             assert isinstance(res, et.EulerianSubdigraph), (lam, k, res)
-            assert et.validate_eulerian_subdigraph(d, res) == []
+            assert res.check(d) == []
             assert not (set(res.arcs) & f)
     for k in (4, 5):
         for _ in range(500):
@@ -189,7 +189,7 @@ def test_guaranteed_avoidance_regimes_always_certify():
             assert et.is_star_set(f)
             res = et.spanning_eulerian_avoiding(d, f)
             assert isinstance(res, et.EulerianSubdigraph), (k, res)
-            assert et.validate_eulerian_subdigraph(d, res) == []
+            assert res.check(d) == []
             assert not (set(res.arcs) & f)
     assert time.monotonic() - start < 600
 
@@ -223,7 +223,7 @@ def test_reduction_route_succeeds_at_high_connectivity():
             res = et.spanning_eulerian_avoiding(d, frozenset(f), trace=trace)
             assert isinstance(res, et.EulerianSubdigraph), (k, res, trace)
             assert "multipartite-reduction" in trace, trace
-            assert et.validate_eulerian_subdigraph(d, res) == []
+            assert res.check(d) == []
             assert not (set(res.arcs) & f)
 
 
@@ -247,7 +247,7 @@ def test_d3_has_one_arc_outside_every_subdigraph():
             assert not cont.in_some
         else:
             assert cont.in_some
-            assert et.validate_eulerian_subdigraph(d, cont.witness) == []
+            assert cont.witness.check(d) == []
             assert arc in cont.witness.arcs
 
 

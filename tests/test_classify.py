@@ -17,7 +17,7 @@ from instances import (
 def assert_witness(d: et.Digraph, cont: et.ArcContainment) -> None:
     assert cont.witness is not None
     assert cont.arc in cont.witness.arcs
-    assert et.validate_eulerian_subdigraph(d, cont.witness) == []
+    assert cont.witness.check(d) == []
 
 
 def test_small_case_bad_arc() -> None:
@@ -159,7 +159,7 @@ def test_avoidable_arc_gets_a_witness() -> None:
     assert unav.kind is None
     assert unav.avoidance_witness is not None
     assert (0, 1) not in unav.avoidance_witness.arcs
-    assert et.validate_eulerian_subdigraph(d, unav.avoidance_witness) == []
+    assert unav.avoidance_witness.check(d) == []
 
 
 def test_unavoidable_arcs_frozen_lists() -> None:

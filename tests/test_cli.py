@@ -222,6 +222,20 @@ def test_arc_file_must_be_a_list_of_pairs(tmp_path, capsys):
     assert "list of [tail, head] pairs" in err
 
 
+def test_arcs_outside_the_digraph_exit_one(tmp_path, capsys):
+    path = _digraph_file(tmp_path, t4())  # (3, 0) is an arc, so -1 0 aliases it
+    far = _write(tmp_path, "far.json", "[[1000, 0]]")
+    for argv in (
+        ["classify", path, "--arc", "1000", "0"],
+        ["classify", path, "--arc", "3", "-4"],
+        ["classify", path, "--arc", "-1", "0"],
+        ["avoid", path, "--arcs", far],
+    ):
+        assert main(argv) == 1, argv
+        _, err = capsys.readouterr()
+        assert "eulertrail: error:" in err and "not in the digraph" in err, argv
+
+
 def test_malformed_digraph_exits_one(tmp_path, capsys):
     path = _write(tmp_path, "broken.json", '{"arcs": []}')
     assert main(["analyze", path]) == 1

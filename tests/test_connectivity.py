@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
+from eulertrail.connectivity import flow_paths, shortest_walk
 from instances import complete, random_strong_semicomplete, t4, three_cycle, transitive
 
 
@@ -109,3 +110,39 @@ def test_cut_certificate_is_genuine(n: int, seed: int) -> None:
     actual = {(u, v) for u, v in d.arcs() if u in probe.side_s and v in probe.side_t}
     assert probe.crossing_arcs == actual
     assert len(actual) < d.n
+
+
+def test_shortest_walk_reaches_a_source_target_only_by_a_cycle() -> None:
+    d = et.Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
+    assert shortest_walk(d.out_neighbors, [0], {0}) == [0, 1, 2, 0]
+    assert shortest_walk(d.out_neighbors, [0], {0, 3}) == [0, 3]
+
+
+def test_shortest_walk_searches_sources_in_the_given_order() -> None:
+    # 0 and 1 both reach 2 in one step; the first source listed wins
+    d = et.Digraph(3, [(0, 2), (1, 2)])
+    assert shortest_walk(d.out_neighbors, [0, 1], {2}) == [0, 2]
+    assert shortest_walk(d.out_neighbors, [1, 0], {2}) == [1, 2]
+    # heads are tried in the order succ gives them
+    d = et.Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
+    assert shortest_walk(d.out_neighbors, [0], {3}) == [0, 1, 3]
+    assert shortest_walk(lambda v: reversed(list(d.out_neighbors(v))), [0], {3}) == [0, 2, 3]
+
+
+def test_shortest_walk_unreachable_target_gives_none() -> None:
+    d = transitive(3)
+    assert shortest_walk(d.out_neighbors, [2], {0}) is None
+    assert shortest_walk(d.out_neighbors, [0], {0}) is None
+
+
+def test_flow_paths_splices_out_a_revisit() -> None:
+    # one unit of flow 0-1-2-1-3 carries the cycle 1-2-1 along
+    arcs = {(0, 1), (1, 2), (2, 1), (1, 3), (0, 3)}
+    assert flow_paths(arcs, 0, 3, 2) == [[0, 1, 3], [0, 3]]
+
+
+def test_flow_paths_raises_when_a_walk_misses_y() -> None:
+    with pytest.raises(et.ConstructionError):
+        flow_paths({(0, 1), (1, 2)}, 0, 3, 1)
+    with pytest.raises(et.ConstructionError):
+        flow_paths({(0, 1), (1, 3)}, 0, 3, 2)  # only one unit of flow

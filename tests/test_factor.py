@@ -104,7 +104,7 @@ def test_merge_all_joins_components() -> None:
     factor = {(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)}
     merged = et.merge_all(d, factor)
     assert merged is not None
-    assert et.validate_eulerian_subdigraph(d, et.EulerianSubdigraph(merged)) == []
+    assert et.EulerianSubdigraph(merged).check(d) == []
 
 
 def test_merge_all_respects_protected_arcs() -> None:
@@ -137,7 +137,7 @@ def test_spanning_eulerian_avoiding_certificate() -> None:
     result = et.spanning_eulerian_avoiding(d, frozenset({(0, 1)}))
     assert isinstance(result, et.EulerianSubdigraph)
     assert (0, 1) not in result.arcs
-    assert et.validate_eulerian_subdigraph(d, result) == []
+    assert result.check(d) == []
 
 
 def test_spanning_eulerian_avoiding_cut_obstruction() -> None:
@@ -180,7 +180,7 @@ def test_trace_multipartite_reduction_route() -> None:
     assert isinstance(result, et.EulerianSubdigraph)
     assert "multipartite-reduction" in trace
     assert not (result.arcs & forbidden)
-    assert et.validate_eulerian_subdigraph(complete(9), result) == []
+    assert result.check(complete(9)) == []
 
 
 def test_stuck_merge_is_retried_on_a_shuffled_factor() -> None:
@@ -193,7 +193,7 @@ def test_stuck_merge_is_retried_on_a_shuffled_factor() -> None:
     trace: list[str] = []
     result = et.spanning_eulerian_avoiding(d, forbidden, trace=trace)
     assert isinstance(result, et.EulerianSubdigraph)
-    assert et.validate_eulerian_subdigraph(d, result) == []
+    assert result.check(d) == []
     assert not (result.arcs & forbidden)
     assert trace == ["factor-merge", "merge-retry"]
 
@@ -239,7 +239,7 @@ def test_avoiding_pipeline_agrees_with_oracle(
     if isinstance(result, et.EulerianSubdigraph):
         assert exists
         assert not (result.arcs & avoid)
-        assert et.validate_eulerian_subdigraph(d, result) == []
+        assert result.check(d) == []
     elif result is None:
         assert not exists  # inconclusive never hides an existing certificate
     else:

@@ -132,4 +132,4 @@ def test_enumerate_all_semicomplete() -> None:
 def test_enumerated_subdigraphs_are_valid(n: int, seed: int) -> None:
     d = random_strong_semicomplete(n, seed)
     for arcs in all_spanning_eulerian(d):
-        assert et.validate_eulerian_subdigraph(d, et.EulerianSubdigraph(arcs)) == []
+        assert et.EulerianSubdigraph(arcs).check(d) == []

@@ -3,7 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.trails import arcs_to_trail, closed_tour
+from eulertrail.trails import _accepted_trail, arcs_to_trail, closed_tour
 from instances import complete, random_strong_semicomplete, three_cycle
 
 
@@ -23,36 +23,43 @@ def test_trail_accessors() -> None:
 
 def test_validate_trail_flags_defects() -> None:
     d = complete(3)
-    assert et.validate_trail(d, et.Trail((0, 2, 0, 1)), 0, 1) == []
-    assert et.validate_trail(d, et.Trail((0, 2, 0, 1)), 0, 2) != []
-    assert et.validate_trail(d, et.Trail((0, 1, 0, 1)), 0, 1) != []  # arc repeats
-    assert et.validate_trail(d, et.Trail((0, 1)), 0, 1) != []  # misses vertex 2
-    assert et.validate_trail(d, et.Trail((0, 1)), 0, 1, require_spanning=False) == []
-    missing = et.validate_trail(three_cycle(), et.Trail((0, 2, 1)), 0, 1)
+    assert et.Trail((0, 2, 0, 1)).check(d, 0, 1) == []
+    assert et.Trail((0, 2, 0, 1)).check(d, 0, 2) != []
+    assert et.Trail((0, 1, 0, 1)).check(d, 0, 1) != []  # arc repeats
+    short = et.Trail((0, 1)).check(d, 0, 1)  # misses vertex 2
+    assert any("cover" in issue for issue in short)
+    missing = et.Trail((0, 2, 1)).check(three_cycle(), 0, 1)
     assert any("not in the digraph" in issue for issue in missing)
 
 
 def test_validate_eulerian_subdigraph_flags_defects() -> None:
     d = complete(3)
     triangle = et.EulerianSubdigraph(frozenset({(0, 1), (1, 2), (2, 0)}))
-    assert et.validate_eulerian_subdigraph(d, triangle) == []
+    assert triangle.check(d) == []
     assert triangle.vertices() == frozenset({0, 1, 2})
     unbalanced = et.EulerianSubdigraph(frozenset({(0, 1), (1, 2), (2, 0), (0, 2)}))
-    assert et.validate_eulerian_subdigraph(d, unbalanced) != []
+    assert unbalanced.check(d) != []
     not_spanning = et.EulerianSubdigraph(frozenset({(0, 1), (1, 0)}))
-    assert et.validate_eulerian_subdigraph(d, not_spanning) != []
+    assert not_spanning.check(d) != []
     foreign = et.EulerianSubdigraph(frozenset({(0, 1), (1, 0), (2, 2)}))
-    assert et.validate_eulerian_subdigraph(d, foreign) != []
+    assert foreign.check(d) != []
     # two disjoint 2-cycles balance but do not connect
     d4 = complete(4)
     split = et.EulerianSubdigraph(frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
-    assert any("connect" in i for i in et.validate_eulerian_subdigraph(d4, split))
+    assert any("connect" in i for i in split.check(d4))
+
+
+def test_eulerian_subdigraph_check_flags_an_avoided_arc() -> None:
+    d = complete(3)
+    triangle = et.EulerianSubdigraph(frozenset({(0, 1), (1, 2), (2, 0)}))
+    assert triangle.check(d, frozenset({(1, 0)})) == []
+    assert any("avoided" in i for i in triangle.check(d, frozenset({(1, 2)})))
 
 
 def test_arcs_to_trail_reconstructs_a_walk() -> None:
     arcs = {(0, 1), (1, 2), (2, 1)}
     trail = arcs_to_trail(arcs, 0, 1)
-    assert et.validate_trail(et.gen_d3(), trail, 0, 1) == []
+    assert trail.check(et.gen_d3(), 0, 1) == []
     assert set(trail.arcs()) == arcs
 
 
@@ -66,10 +73,36 @@ def test_closed_tour_visits_every_arc_once() -> None:
         closed_tour({(0, 1), (1, 0), (2, 3), (3, 2)}, 0)  # two separate tours
 
 
+def test_arcs_to_trail_refuses_an_unbalanced_arc_set() -> None:
+    # Hierholzer from 0 would splice these into 0-2-1-3, which steps along
+    # (2, 1), an arc the set does not hold
+    with pytest.raises(et.ConstructionError):
+        arcs_to_trail({(0, 1), (1, 3), (0, 2)}, 0, 3)
+
+
+def test_ladder_rejects_a_candidate_using_yx() -> None:
+    d = complete(3)
+    arcs = {(0, 2), (2, 1), (1, 0), (0, 1)}  # the spanning trail 0-2-1-0-1
+    assert arcs_to_trail(arcs, 0, 1).check(d, 0, 1) == []
+    assert _accepted_trail(d, arcs, 0, 1) is None
+
+
+def test_ladder_rejects_a_candidate_leaving_a_vertex_three_times() -> None:
+    d = complete(4)
+    thrice = {(0, 2), (2, 0), (0, 3), (3, 0), (0, 1)}  # 0-2-0-3-0-1
+    assert arcs_to_trail(thrice, 0, 1).check(d, 0, 1) == []
+    assert _accepted_trail(d, thrice, 0, 1) is None
+    y_twice = {(0, 1), (1, 2), (2, 1), (1, 3), (3, 1)}  # 0-1-2-1-3-1
+    assert arcs_to_trail(y_twice, 0, 1).check(d, 0, 1) == []
+    assert _accepted_trail(d, y_twice, 0, 1) is None
+    twice = {(0, 2), (2, 0), (0, 3), (3, 1)}  # 0-2-0-3-1 keeps the promise
+    assert _accepted_trail(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
+
+
 def test_spanning_trail_basic() -> None:
     d = complete(3)
     trail = et.spanning_trail(d, 0, 1)
-    assert et.validate_trail(d, trail, 0, 1) == []
+    assert trail.check(d, 0, 1) == []
     arcs = trail.arcs()
     assert (1, 0) not in arcs
     assert all(c <= 2 for c in out_counts(arcs).values())
@@ -113,7 +146,7 @@ def test_spanning_trail_for_every_linked_pair(n: int, seed: int) -> None:
             if isinstance(et.arc_disjoint_paths(d, x, y, 2), et.CutCertificate):
                 continue
             trail = et.spanning_trail(d, x, y)
-            assert et.validate_trail(d, trail, x, y) == []
+            assert trail.check(d, x, y) == []
             arcs = trail.arcs()
             assert (y, x) not in arcs
             assert all(c <= 2 for c in out_counts(arcs).values())
