@@ -139,13 +139,13 @@ def cmd_analyze(args: argparse.Namespace) -> int:
         return EXIT_CERTIFICATE
     strong = is_strong(d)
     lam = arc_connectivity(d)
-    cuts = cut_arcs(d)
+    cuts = cut_arcs(d) if strong else None
     payload: dict = {
         "n": d.n,
         "m": d.m,
         "strong": strong,
         "lambda": lam,
-        "cut_arcs": _arc_rows(cuts),
+        "cut_arcs": None if cuts is None else _arc_rows(cuts),
         "decomposition": None,
         "backward_ordering": None,
         "ignored_sets": None,
@@ -165,7 +165,8 @@ def cmd_analyze(args: argparse.Namespace) -> int:
             payload["ignored_sets"] = sorted(ignored_sets(dec, d))
     _say(
         args,
-        f"n={d.n} m={d.m} strong={strong} lambda={lam} cut_arcs={len(cuts)}",
+        f"n={d.n} m={d.m} strong={strong} lambda={lam} "
+        f"cut_arcs={'none' if cuts is None else len(cuts)}",
     )
     _emit(payload)
     return EXIT_CERTIFICATE

@@ -1,9 +1,12 @@
 """Strong connectivity, cut arcs, arc-connectivity, and Menger certificates.
 
 The max-flow kernel is a plain BFS-augmenting unit-capacity flow over the
-digraph's own arcs.  Residual traversal accounts for 2-cycles: pushing flow
-on (u,v) while (v,u) carries flow cancels the reverse unit instead of
-stacking, so per-arc values stay in {0,1}.
+digraph's own arcs, kept as two lists of bitmask rows: ``fwd[u]`` holds
+the heads of the arcs out of u that carry flow and ``back[v]`` the tails
+of the arcs into v that carry flow.  One residual step from v is then
+``((out[v] & ~fwd[v]) | back[v]) & ~reached``.  Pushing flow on (u,v)
+while (v,u) carries flow cancels the reverse unit instead of stacking, so
+per-arc values stay in {0,1} and 2-cycles need no special case.
 
 The other modules share two walks from here: ``shortest_walk``, a
 breadth-first shortest-walk search, and ``flow_paths``, which reads
@@ -15,7 +18,7 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Container, Iterable
+from typing import Callable, Container, Iterable, Sequence
 
 from .digraph import Arc, Digraph, _mask_bits
 from .errors import ConstructionError, PreconditionError
@@ -50,7 +53,7 @@ class CutCertificate:
         return []
 
 
-def _closure(rows: tuple[int, ...], start: int) -> int:
+def _closure(rows: Sequence[int], start: int) -> int:
     """Mask of vertices reachable from ``start`` along ``rows`` adjacency."""
     seen = 1 << start
     frontier = seen
@@ -236,59 +239,51 @@ def flow_paths(arcs: Iterable[Arc], x: int, y: int, k: int) -> list[list[int]]:
 # ---- unit-capacity max flow ----
 
 
-def _residual_step(d: Digraph, flow: dict[Arc, int], v: int, blocked: int) -> list[int]:
-    """Vertices reachable from v in one residual step, skipping ``blocked`` mask."""
-    found: list[int] = []
-    for w in _mask_bits((d.out_mask(v) | d.in_mask(v)) & ~blocked):
-        if (d.has_arc(v, w) and flow.get((v, w), 0) == 0) or flow.get((w, v), 0) == 1:
-            found.append(w)
-    return found
-
-
 def _max_flow(
     d: Digraph, s: int, t: int, limit: int | None = None
-) -> tuple[int, dict[Arc, int], int]:
+) -> tuple[int, list[int], int]:
     """BFS-augmenting unit-capacity flow from s to t.
 
-    Returns (value, flow map, residual-reachable mask from s).  Stops once
-    ``limit`` augmenting paths have been found; the mask is only a true
-    min-cut side when the limit was not the stopping reason.
+    Returns (value, flow rows, residual-reachable mask from s); bit v of
+    row u is set iff arc (u,v) carries flow.  Stops once ``limit``
+    augmenting paths have been found; the mask is only a true min-cut side
+    when the limit was not the stopping reason.
     """
-    flow: dict[Arc, int] = {}
+    out = d._out  # noqa: SLF001 - package-internal
+    fwd = [0] * d.n  # fwd[u] bit v: arc (u,v) carries flow
+    back = [0] * d.n  # back[v] bit u: arc (u,v) carries flow
     value = 0
     while limit is None or value < limit:
-        parent: dict[int, int] = {s: -1}
+        parent = [-1] * d.n
         reached = 1 << s
         frontier = [s]
         while frontier and not reached >> t & 1:
             nxt: list[int] = []
             for v in frontier:
-                for w in _residual_step(d, flow, v, reached):
+                step = ((out[v] & ~fwd[v]) | back[v]) & ~reached
+                reached |= step
+                while step:  # _mask_bits inlined: this is the hot loop
+                    low = step & -step
+                    w = low.bit_length() - 1
                     parent[w] = v
-                    reached |= 1 << w
                     nxt.append(w)
+                    step ^= low
             frontier = nxt
         if not reached >> t & 1:
-            return value, flow, reached
+            return value, fwd, reached
         v = t
         while v != s:
             u = parent[v]
-            if flow.get((v, u), 0) == 1:
-                flow[(v, u)] = 0
+            if back[u] >> v & 1:  # cancel the reverse unit on (v,u)
+                fwd[v] &= ~(1 << u)
+                back[u] &= ~(1 << v)
             else:
-                flow[(u, v)] = 1
+                fwd[u] |= 1 << v
+                back[v] |= 1 << u
             v = u
         value += 1
-    reached = 1 << s
-    frontier = [s]
-    while frontier:
-        nxt = []
-        for v in frontier:
-            for w in _residual_step(d, flow, v, reached):
-                reached |= 1 << w
-                nxt.append(w)
-        frontier = nxt
-    return value, flow, reached
+    residual = [(out[v] & ~fwd[v]) | back[v] for v in range(d.n)]
+    return value, fwd, _closure(residual, s)
 
 
 def _certificate_from_mask(d: Digraph, reached: int) -> CutCertificate:
@@ -343,7 +338,7 @@ def arc_disjoint_paths(
         raise PreconditionError("k must be non-negative")
     if k == 0:
         return []
-    value, flow, reached = _max_flow(d, x, y, limit=k)
+    value, fwd, reached = _max_flow(d, x, y, limit=k)
     if value < k:
         return _certificate_from_mask(d, reached)
-    return flow_paths({a for a, f in flow.items() if f == 1}, x, y, k)
+    return flow_paths(((u, v) for u in range(d.n) for v in _mask_bits(fwd[u])), x, y, k)

@@ -51,6 +51,24 @@ def test_analyze_reads_stdin(tmp_path, capsys, monkeypatch):
     assert json.loads(out)["lambda"] == 1
 
 
+def test_analyze_reports_a_non_strong_digraph(tmp_path, capsys):
+    path = _write(tmp_path, "d.json", '{"n":3,"arcs":[[0,1],[1,2],[0,2]]}')
+    code = main(["analyze", path])
+    out, err = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out) == {
+        "n": 3,
+        "m": 3,
+        "strong": False,
+        "lambda": 0,
+        "cut_arcs": None,
+        "decomposition": None,
+        "backward_ordering": None,
+        "ignored_sets": None,
+    }
+    assert err.strip() == "n=3 m=3 strong=False lambda=0 cut_arcs=none"
+
+
 def test_analyze_dot_format(tmp_path, capsys):
     path = _digraph_file(tmp_path, et.gen_d3())
     code = main(["analyze", path, "--format", "dot"])

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.connectivity import flow_paths, shortest_walk
+from eulertrail.connectivity import _certificate_from_mask, _max_flow, flow_paths, shortest_walk
+from eulertrail.digraph import _mask_bits
 from instances import complete, random_strong_semicomplete, t4, three_cycle, transitive
 
 
@@ -146,3 +149,191 @@ def test_flow_paths_raises_when_a_walk_misses_y() -> None:
         flow_paths({(0, 1), (1, 2)}, 0, 3, 1)
     with pytest.raises(et.ConstructionError):
         flow_paths({(0, 1), (1, 3)}, 0, 3, 2)  # only one unit of flow
+
+
+# ---- the flow kernel against the dict-keyed kernel it replaced ----
+
+
+def _reference_step(d: et.Digraph, flow: dict, v: int, blocked: int) -> list[int]:
+    found = []
+    for w in _mask_bits((d.out_mask(v) | d.in_mask(v)) & ~blocked):
+        if (d.has_arc(v, w) and flow.get((v, w), 0) == 0) or flow.get((w, v), 0) == 1:
+            found.append(w)
+    return found
+
+
+def _reference_flow(d: et.Digraph, s: int, t: int, limit: int | None = None):
+    """The unit-capacity kernel as it was when flow was keyed by arc."""
+    flow: dict = {}
+    value = 0
+    while limit is None or value < limit:
+        parent = {s: -1}
+        reached = 1 << s
+        frontier = [s]
+        while frontier and not reached >> t & 1:
+            nxt = []
+            for v in frontier:
+                for w in _reference_step(d, flow, v, reached):
+                    parent[w] = v
+                    reached |= 1 << w
+                    nxt.append(w)
+            frontier = nxt
+        if not reached >> t & 1:
+            return value, flow, reached
+        v = t
+        while v != s:
+            u = parent[v]
+            if flow.get((v, u), 0) == 1:
+                flow[(v, u)] = 0
+            else:
+                flow[(u, v)] = 1
+            v = u
+        value += 1
+    reached = 1 << s
+    frontier = [s]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for w in _reference_step(d, flow, v, reached):
+                reached |= 1 << w
+                nxt.append(w)
+        frontier = nxt
+    return value, flow, reached
+
+
+def _carrying(flow: dict) -> set:
+    return {a for a, f in flow.items() if f == 1}
+
+
+def _row_arcs(fwd: list[int]) -> set:
+    return {(u, v) for u, row in enumerate(fwd) for v in _mask_bits(row)}
+
+
+def _reference_certificate(d: et.Digraph):
+    if d.n <= 1:
+        return 0, None
+    best, best_mask = None, 0
+    for v in range(1, d.n):
+        for s, t in ((0, v), (v, 0)):
+            val, _, reached = _reference_flow(d, s, t, limit=best)
+            if best is None or val < best:
+                best, best_mask = val, reached
+                if best == 0:
+                    return 0, _certificate_from_mask(d, best_mask)
+    return best, _certificate_from_mask(d, best_mask)
+
+
+def _kernel_inputs():
+    """Seeded digraphs with n <= 30: semicomplete ones with and without
+    2-cycles, non-strong ones, and sparse non-semicomplete ones."""
+    rng = random.Random(20190527)
+    for i in range(48):
+        n = rng.randint(2, 30)
+        kind = i % 4
+        if kind == 0:
+            yield et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30))
+        elif kind == 1:
+            yield transitive(n)  # not strong
+        elif kind == 2:
+            p = rng.uniform(0.1, 0.6)
+            yield et.Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                                 if u != v and rng.random() < p])
+        else:
+            yield random_strong_semicomplete(n, rng.randrange(1 << 30))
+
+
+def test_flow_kernel_matches_the_dict_keyed_kernel() -> None:
+    rng = random.Random(7)
+    for d in _kernel_inputs():
+        k = d.n - 1
+        for _ in range(6):
+            s, t = rng.sample(range(d.n), 2)
+            for limit in (None, 1, 2, k, rng.randint(0, k)):
+                value, fwd, reached = _max_flow(d, s, t, limit)
+                ref_value, ref_flow, ref_reached = _reference_flow(d, s, t, limit)
+                assert (value, _row_arcs(fwd), reached) == (
+                    ref_value, _carrying(ref_flow), ref_reached
+                )
+        assert et.arc_connectivity_certificate(d) == _reference_certificate(d)
+        x, y = rng.sample(range(d.n), 2)
+        ref_value, ref_flow, ref_reached = _reference_flow(d, x, y, 2)
+        expected = (
+            _certificate_from_mask(d, ref_reached) if ref_value < 2
+            else flow_paths(_carrying(ref_flow), x, y, 2)
+        )
+        assert et.arc_disjoint_paths(d, x, y, 2) == expected
+
+
+def test_flow_kernel_cancels_the_reverse_unit_first() -> None:
+    # a later augmenting path steps from 0 to 3 while (3,0) carries flow;
+    # the unit on (3,0) is cancelled rather than (0,3) being filled too
+    d = et.Digraph(6, [(0, 1), (0, 3), (1, 0), (1, 5), (2, 3), (2, 4),
+                       (3, 0), (3, 4), (3, 5), (4, 0), (5, 1), (5, 3)])
+    value, fwd, reached = _max_flow(d, 2, 1)
+    arcs = {(0, 1), (2, 3), (2, 4), (3, 5), (4, 0), (5, 1)}
+    assert (value, _row_arcs(fwd)) == (2, arcs)
+    _, ref_flow, ref_reached = _reference_flow(d, 2, 1)
+    assert (_carrying(ref_flow), ref_reached) == (arcs, reached)
+
+
+# ---- differential checks against networkx ----
+
+
+def _backward_chain(n: int, rng: random.Random) -> et.Digraph:
+    """Vertices 0..n-1 in sets of one or two along a line: every arc
+    points forward except 2-cycles inside the sets and a few backward
+    arcs, the last of which closes the chain into a strong digraph."""
+    pos, i = [], 0
+    while len(pos) < n:
+        pos += [i] * min(rng.choice((1, 2)), n - len(pos))
+        i += 1
+    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and pos[u] <= pos[v]}
+    for _ in range(rng.randint(0, 3)):
+        u = rng.randrange(1, n)
+        v = rng.randrange(u)
+        if pos[v] < pos[u]:
+            arcs.discard((v, u))
+            arcs.add((u, v))
+    arcs.discard((0, n - 1))
+    arcs.add((n - 1, 0))
+    return et.Digraph(n, arcs)
+
+
+def _networkx_inputs():
+    rng = random.Random(1905)
+    for n in (10, 15, 20, 25, 30, 40, 50, 60):
+        yield et.gen_random_semicomplete(n, rng.uniform(0.3, 0.9), rng.randrange(1 << 30))
+        yield _backward_chain(n, rng)
+
+
+def test_connectivity_agrees_with_networkx() -> None:
+    nx = pytest.importorskip("networkx")
+    rng = random.Random(11)
+    for d in _networkx_inputs():
+        g = nx.DiGraph()
+        g.add_nodes_from(d.vertices())
+        g.add_edges_from(d.arcs())
+        strong = nx.is_strongly_connected(g)
+        lam = nx.edge_connectivity(g)
+        assert et.is_strong(d) == strong
+        assert et.arc_connectivity(d) == lam
+        assert set(et.strong_components(d)) == {
+            frozenset(c) for c in nx.strongly_connected_components(g)
+        }
+        if lam >= 2:  # no single removal can break strongness
+            assert et.cut_arcs(d) == frozenset()
+        elif strong:
+            cuts = set()
+            for a in d.arcs():
+                g.remove_edge(*a)
+                if not nx.is_strongly_connected(g):
+                    cuts.add(a)
+                g.add_edge(*a)
+            assert et.cut_arcs(d) == cuts
+        for _ in range(4):
+            x, y = rng.sample(range(d.n), 2)
+            k = rng.randint(1, 4)
+            probe = et.arc_disjoint_paths(d, x, y, k)
+            assert isinstance(probe, list) == (nx.edge_connectivity(g, x, y) >= k)
+            if isinstance(probe, et.CutCertificate):
+                assert probe.check(d) == [] and len(probe.crossing_arcs) < k
