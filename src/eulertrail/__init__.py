@@ -12,6 +12,7 @@ from __future__ import annotations
 from .classify import (
     ArcContainment,
     ArcUnavoidability,
+    classify_all,
     classify_containment,
     classify_unavoidable,
     taxonomy_labels,
@@ -93,6 +94,7 @@ __all__ = [
     "arc_connectivity",
     "arc_connectivity_certificate",
     "arc_disjoint_paths",
+    "classify_all",
     "classify_containment",
     "classify_unavoidable",
     "cut_arcs",

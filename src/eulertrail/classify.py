@@ -7,6 +7,14 @@ unavoidability side recognizes the arcs no spanning eulerian subdigraph
 can skip, via the cut-arc test and a neighborhood comparison in the
 digraph with the arc removed, and hands back either an obstruction
 partition or a witness avoiding the arc.
+
+``classify_all`` classifies every arc of a digraph in one pass.  It
+checks the preconditions once, builds the containment witnesses arc by
+arc exactly as ``classify_containment`` does, and then certifies each
+avoidable arc with the first validated witness that misses it: any
+spanning eulerian subdigraph without the arc proves it avoidable.  Only
+an arc that every witness so far contains costs a fresh
+``spanning_eulerian_avoiding`` run, whose result joins the shared list.
 """
 
 from __future__ import annotations
@@ -60,12 +68,12 @@ class ArcUnavoidability:
     avoidance_witness: EulerianSubdigraph | None
 
 
-def _require(d: Digraph, arc: Arc) -> None:
+def _require(d: Digraph, arcs: list[Arc]) -> None:
     if not is_semicomplete(d):
         raise PreconditionError("classification requires a semicomplete digraph")
     if not is_strong(d):
         raise PreconditionError("classification requires a strong digraph")
-    require_arcs(d, [arc], "arc")
+    require_arcs(d, arcs, "arc")
 
 
 # ---- containment ----
@@ -217,7 +225,11 @@ def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
     pattern that blocks them.  Digraphs on up to three vertices have no
     decomposition theory and are settled by direct enumeration.
     """
-    _require(d, arc)
+    _require(d, [arc])
+    return _containment(d, arc)
+
+
+def _containment(d: Digraph, arc: Arc) -> ArcContainment:
     if d.n <= 3:
         witness = _tiny_witness(d, arc)
         if witness is None:
@@ -336,7 +348,17 @@ def classify_unavoidable(d: Digraph, arc: Arc) -> ArcUnavoidability:
     in-side; the crossing partition is returned as the obstruction.
     Avoidable arcs come back with a validated witness avoiding them.
     """
-    _require(d, arc)
+    _require(d, [arc])
+    return _unavoidability(d, arc, [])
+
+
+def _unavoidability(
+    d: Digraph, arc: Arc, witnesses: list[EulerianSubdigraph]
+) -> ArcUnavoidability:
+    """``classify_unavoidable`` on trusted input.  An avoidable arc takes
+    the first of the validated spanning eulerian ``witnesses`` that
+    misses it; only when none does is a witness built, validated and
+    appended to the list."""
     u, v = arc
     if arc in cut_arcs(d):
         _, cert = arc_connectivity_certificate(d.remove_arcs([arc]))
@@ -365,17 +387,43 @@ def classify_unavoidable(d: Digraph, arc: Arc) -> ArcUnavoidability:
                 labels = taxonomy_labels(d, arc)
                 kind = next((k for k, hit in labels.items() if hit), None)
                 return ArcUnavoidability(arc, True, kind, None, partition, None)
-    got = spanning_eulerian_avoiding(d, frozenset((arc,)))
-    if not isinstance(got, EulerianSubdigraph):
-        raise ConstructionError(
-            f"arc {arc} passed the avoidability tests but no witness was found"
-        )
-    bad = got.check(d, frozenset((arc,)))
-    if bad:
-        raise ConstructionError(f"avoidance witness for {arc} invalid: {bad}")
+    got = next((w for w in witnesses if arc not in w.arcs), None)
+    if got is None:
+        got = spanning_eulerian_avoiding(d, frozenset((arc,)))
+        if not isinstance(got, EulerianSubdigraph):
+            raise ConstructionError(
+                f"arc {arc} passed the avoidability tests but no witness was found"
+            )
+        bad = got.check(d, frozenset((arc,)))
+        if bad:
+            raise ConstructionError(f"avoidance witness for {arc} invalid: {bad}")
+        witnesses.append(got)
     return ArcUnavoidability(arc, False, None, None, None, got)
 
 
 def unavoidable_arcs(d: Digraph) -> list[Arc]:
     """All arcs that every spanning eulerian subdigraph must use."""
-    return [a for a in d.arcs() if classify_unavoidable(d, a).unavoidable]
+    arcs = list(d.arcs())
+    _require(d, arcs)
+    witnesses: list[EulerianSubdigraph] = []
+    return [a for a in arcs if _unavoidability(d, a, witnesses).unavoidable]
+
+
+# ---- every arc at once ----
+
+
+def classify_all(d: Digraph) -> list[tuple[ArcContainment, ArcUnavoidability]]:
+    """``classify_containment`` and ``classify_unavoidable`` of every arc,
+    in ``d.arcs()`` order, with the preconditions checked once.
+
+    The containment answers are the per-arc ones.  The unavoidability
+    verdicts, cut certificates and partitions are the per-arc ones too;
+    an avoidable arc's witness is the first containment witness, in arc
+    order, that misses it, else the first avoidance witness built so far
+    that does, so one witness object may serve many rows.
+    """
+    arcs = list(d.arcs())
+    _require(d, arcs)
+    contained = [_containment(d, a) for a in arcs]
+    witnesses = [c.witness for c in contained if c.witness is not None]
+    return [(c, _unavoidability(d, c.arc, witnesses)) for c in contained]

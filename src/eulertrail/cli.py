@@ -19,7 +19,13 @@ import random
 import sys
 from functools import partial
 
-from .classify import classify_containment, classify_unavoidable
+from .classify import (
+    ArcContainment,
+    ArcUnavoidability,
+    classify_all,
+    classify_containment,
+    classify_unavoidable,
+)
 from .connectivity import (
     CutCertificate,
     arc_connectivity,
@@ -175,14 +181,25 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---- classify ----
 
 
-def _classify_one(d: Digraph, arc: Arc) -> dict:
-    cont = classify_containment(d, arc)
-    unav = classify_unavoidable(d, arc)
-    if cont.witness is not None:
-        _revalidate(d, cont.witness)
-        if arc not in cont.witness.arcs:
-            raise ConstructionError("containment witness misses its own arc")
-    for cert in (unav.cut_certificate, unav.partition, unav.avoidance_witness):
+def _checked_row(
+    d: Digraph,
+    cont: ArcContainment,
+    unav: ArcUnavoidability,
+    checked: set[EulerianSubdigraph],
+) -> dict:
+    """One arc's row, after re-validating its certificates.  A witness in
+    ``checked`` has passed ``cert.check(d)`` already, so only its relation
+    to this row's arc is checked again; rows may share witnesses."""
+    arc = cont.arc
+    for witness in (cont.witness, unav.avoidance_witness):
+        if witness is not None and witness not in checked:
+            _revalidate(d, witness)
+            checked.add(witness)
+    if cont.witness is not None and arc not in cont.witness.arcs:
+        raise ConstructionError("containment witness misses its own arc")
+    if unav.avoidance_witness is not None and arc in unav.avoidance_witness.arcs:
+        raise ConstructionError("avoidance witness uses its own arc")
+    for cert in (unav.cut_certificate, unav.partition):
         if cert is not None:
             _revalidate(d, cert, frozenset((arc,)))
     return {
@@ -203,9 +220,11 @@ def _classify_one(d: Digraph, arc: Arc) -> dict:
 
 def cmd_classify(args: argparse.Namespace) -> int:
     d = _load_digraph(args.input)
+    checked: set[EulerianSubdigraph] = set()
     if args.arc is not None:
         arc = (args.arc[0], args.arc[1])
-        row = _classify_one(d, arc)
+        cont, unav = classify_containment(d, arc), classify_unavoidable(d, arc)
+        row = _checked_row(d, cont, unav, checked)
         _say(
             args,
             f"arc {arc}: "
@@ -219,7 +238,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
         _emit(row)
         return EXIT_CERTIFICATE
-    rows = [_classify_one(d, a) for a in d.arcs()]
+    rows = [_checked_row(d, cont, unav, checked) for cont, unav in classify_all(d)]
     good = sum(1 for r in rows if r["good"])
     heavy = sum(1 for r in rows if r["unavoidable"])
     _say(

@@ -262,6 +262,9 @@ def _max_flow(
             for v in frontier:
                 step = ((out[v] & ~fwd[v]) | back[v]) & ~reached
                 reached |= step
+                if step >> t & 1:  # every parent is set at discovery, so stop here
+                    parent[t] = v
+                    break
                 while step:  # _mask_bits inlined: this is the hot loop
                     low = step & -step
                     w = low.bit_length() - 1

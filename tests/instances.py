@@ -106,6 +106,34 @@ def single_backward_chain() -> et.Digraph:
     return et.Digraph(6, arcs)
 
 
+def backward_chain(n: int, rng: random.Random) -> et.Digraph:
+    """Vertices 0..n-1 in sets of one or two along a line: every arc
+    points forward except 2-cycles inside the sets and a few backward
+    arcs, the last of which closes the chain into a strong digraph."""
+    pos, i = [], 0
+    while len(pos) < n:
+        pos += [i] * min(rng.choice((1, 2)), n - len(pos))
+        i += 1
+    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and pos[u] <= pos[v]}
+    for _ in range(rng.randint(0, 3)):
+        u = rng.randrange(1, n)
+        v = rng.randrange(u)
+        if pos[v] < pos[u]:
+            arcs.discard((v, u))
+            arcs.add((u, v))
+    arcs.discard((0, n - 1))
+    arcs.add((n - 1, 0))
+    return et.Digraph(n, arcs)
+
+
+def strong_backward_chain(n: int, rng: random.Random) -> et.Digraph:
+    """The first strong digraph ``backward_chain`` draws."""
+    while True:
+        d = backward_chain(n, rng)
+        if et.is_strong(d):
+            return d
+
+
 def random_strong_semicomplete(n: int, seed: int) -> et.Digraph:
     rng = random.Random(seed)
     for attempt in range(500):

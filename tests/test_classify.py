@@ -1,14 +1,22 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.oracle import all_spanning_eulerian
+from eulertrail import classify
+from eulertrail.oracle import (
+    all_spanning_eulerian,
+    enumerate_all_semicomplete,
+    enumerate_all_tournaments,
+)
 from instances import (
     complete,
     compulsory_chain,
     figure_chain,
     random_strong_semicomplete,
+    strong_backward_chain,
     t4,
     three_cycle,
 )
@@ -194,3 +202,101 @@ def test_classification_agrees_with_oracle(n: int, seed: int) -> None:
         if not unav.unavoidable:
             assert unav.avoidance_witness is not None
             assert arc not in unav.avoidance_witness.arcs
+
+
+# ---- classify_all ----
+
+
+def _assert_classify_all_matches_per_arc(d: et.Digraph) -> None:
+    pairs = et.classify_all(d)
+    assert [cont.arc for cont, _ in pairs] == list(d.arcs())
+    for cont, unav in pairs:
+        arc = cont.arc
+        assert cont == et.classify_containment(d, arc)
+        alone = et.classify_unavoidable(d, arc)
+        assert unav.arc == arc
+        assert (unav.unavoidable, unav.kind, unav.cut_certificate, unav.partition) == (
+            alone.unavoidable, alone.kind, alone.cut_certificate, alone.partition,
+        )
+        assert (unav.avoidance_witness is None) == (alone.avoidance_witness is None)
+        if unav.avoidance_witness is not None:
+            assert unav.avoidance_witness.check(d, frozenset((arc,))) == []
+
+
+def test_classify_all_matches_per_arc_on_the_exhaustive_pool() -> None:
+    pool = [d for d in enumerate_all_semicomplete(4) if et.is_strong(d)]
+    pool += [d for d in enumerate_all_tournaments(5) if et.is_strong(d)]
+    assert len(pool) == 1087
+    for d in pool:
+        _assert_classify_all_matches_per_arc(d)
+
+
+def test_classify_all_matches_per_arc_on_chains_and_dense_digraphs() -> None:
+    rng = random.Random(20190526)
+    for n in range(5, 15):
+        _assert_classify_all_matches_per_arc(strong_backward_chain(n, rng))
+        _assert_classify_all_matches_per_arc(random_strong_semicomplete(n, rng.randrange(1 << 30)))
+
+
+def _recording(monkeypatch) -> list:
+    """Replace the avoidance construction seen by classify with one that
+    records (forbidden arcs, result) for every call."""
+    built = []
+    real = classify.spanning_eulerian_avoiding
+
+    def recorded(d, forbidden):
+        built.append((forbidden, real(d, forbidden)))
+        return built[-1][1]
+
+    monkeypatch.setattr(classify, "spanning_eulerian_avoiding", recorded)
+    return built
+
+
+def test_classify_all_shares_containment_witnesses(monkeypatch) -> None:
+    built = _recording(monkeypatch)
+    d = et.gen_random_semicomplete(8, 0.5, 3)
+    assert et.arc_connectivity(d) >= 2
+    pairs = et.classify_all(d)
+    witnesses = [cont.witness for cont, _ in pairs]
+    assert all(any(a not in w.arcs for w in witnesses) for a in d.arcs())
+    assert built == []
+    for cont, unav in pairs:
+        assert not unav.unavoidable
+        assert any(unav.avoidance_witness is w for w in witnesses)
+
+
+def test_avoidance_witness_is_built_only_when_every_witness_uses_the_arc(
+    monkeypatch,
+) -> None:
+    # a backward chain whose containment witnesses all use the avoidable arc (9, 0)
+    d = et.Digraph(10, [
+        (0, 2), (0, 3), (0, 4), (0, 5), (0, 6), (0, 7), (0, 8), (1, 0), (1, 2),
+        (1, 3), (1, 4), (1, 5), (1, 7), (1, 8), (1, 9), (2, 3), (2, 4), (2, 5),
+        (2, 6), (2, 7), (2, 8), (2, 9), (3, 4), (3, 5), (3, 6), (3, 7), (3, 8),
+        (3, 9), (4, 3), (4, 5), (4, 6), (4, 7), (4, 8), (4, 9), (5, 6), (5, 7),
+        (5, 8), (6, 1), (6, 7), (6, 8), (6, 9), (7, 8), (7, 9), (8, 9), (9, 0),
+        (9, 5),
+    ])
+    built = _recording(monkeypatch)
+    pairs = {cont.arc: (cont, unav) for cont, unav in et.classify_all(d)}
+    assert [forbidden for forbidden, _ in built] == [frozenset({(9, 0)})]
+    assert all((9, 0) in cont.witness.arcs for cont, _ in pairs.values() if cont.witness)
+    assert pairs[(9, 0)][1].avoidance_witness is built[0][1]
+    assert built[0][1].check(d, frozenset({(9, 0)})) == []
+
+
+def test_unavoidable_arcs_shares_the_witnesses_it_builds(monkeypatch) -> None:
+    built = _recording(monkeypatch)
+    d = complete(5)
+    assert et.unavoidable_arcs(d) == []
+    assert 1 <= len(built) < d.m
+    for i, (forbidden, _) in enumerate(built):
+        assert all(forbidden <= w.arcs for _, w in built[:i])
+
+
+def test_classify_all_refuses_digraphs_it_cannot_classify() -> None:
+    with pytest.raises(et.PreconditionError, match="semicomplete"):
+        et.classify_all(et.Digraph(3, []))
+    with pytest.raises(et.PreconditionError, match="strong"):
+        et.classify_all(et.Digraph(3, [(0, 1), (1, 2), (0, 2)]))
+    assert et.classify_all(et.Digraph(1, [])) == []

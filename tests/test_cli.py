@@ -6,12 +6,13 @@ the stderr summary, and the exit code.
 
 import io
 import json
+import random
 
 import pytest
 
 import eulertrail as et
 from eulertrail.cli import main
-from instances import complete, t4, three_cycle
+from instances import complete, strong_backward_chain, t4, three_cycle
 
 
 def _write(tmp_path, name, text):
@@ -139,6 +140,40 @@ def test_classify_all_arcs(tmp_path, capsys):
         ((3, 0), True, None, "cut"),
     ]
     assert err.strip() == "6 arcs: 4 good, 2 bad; 4 unavoidable"
+
+
+def test_classify_all_rows_match_the_single_arc_rows(tmp_path, capsys):
+    for d in (t4(), et.gen_d3(), strong_backward_chain(9, random.Random(3))):
+        path = _digraph_file(tmp_path, d)
+        assert main(["classify", path, "--all", "--quiet"]) == 0
+        rows = json.loads(capsys.readouterr().out)["arcs"]
+        assert [tuple(r["arc"]) for r in rows] == list(d.arcs())
+        for row in rows:
+            u, v = row["arc"]
+            assert main(["classify", path, "--arc", str(u), str(v), "--quiet"]) == 0
+            alone = json.loads(capsys.readouterr().out)
+            assert {k: x for k, x in row.items() if k != "avoidance_witness"} == {
+                k: x for k, x in alone.items() if k != "avoidance_witness"
+            }
+            if row["avoidance_witness"] is not None:
+                witness = et.EulerianSubdigraph(
+                    frozenset(tuple(a) for a in row["avoidance_witness"])
+                )
+                assert witness.check(d, frozenset({(u, v)})) == []
+
+
+def test_classify_all_refuses_a_digraph_it_cannot_classify(tmp_path, capsys):
+    path = _write(tmp_path, "empty.json", '{"n":3,"arcs":[]}')
+    errors = []
+    for argv in (["classify", path, "--all"], ["classify", path, "--arc", "0", "1"]):
+        assert main(argv) == 1, argv
+        errors.append(capsys.readouterr().err)
+    assert errors[0] == errors[1]
+    assert errors[0].startswith("eulertrail: error: classification requires a")
+    path = _write(tmp_path, "one.json", '{"n":1,"arcs":[]}')
+    assert main(["classify", path, "--all"]) == 0
+    out, _ = capsys.readouterr()
+    assert json.loads(out) == {"n": 1, "arcs": []}
 
 
 def test_classify_generated_exceptional_tournament(tmp_path, capsys):

@@ -7,7 +7,14 @@ from hypothesis import strategies as st
 import eulertrail as et
 from eulertrail.connectivity import _certificate_from_mask, _max_flow, flow_paths, shortest_walk
 from eulertrail.digraph import _mask_bits
-from instances import complete, random_strong_semicomplete, t4, three_cycle, transitive
+from instances import (
+    backward_chain,
+    complete,
+    random_strong_semicomplete,
+    t4,
+    three_cycle,
+    transitive,
+)
 
 
 def test_is_strong() -> None:
@@ -279,31 +286,11 @@ def test_flow_kernel_cancels_the_reverse_unit_first() -> None:
 # ---- differential checks against networkx ----
 
 
-def _backward_chain(n: int, rng: random.Random) -> et.Digraph:
-    """Vertices 0..n-1 in sets of one or two along a line: every arc
-    points forward except 2-cycles inside the sets and a few backward
-    arcs, the last of which closes the chain into a strong digraph."""
-    pos, i = [], 0
-    while len(pos) < n:
-        pos += [i] * min(rng.choice((1, 2)), n - len(pos))
-        i += 1
-    arcs = {(u, v) for u in range(n) for v in range(n) if u != v and pos[u] <= pos[v]}
-    for _ in range(rng.randint(0, 3)):
-        u = rng.randrange(1, n)
-        v = rng.randrange(u)
-        if pos[v] < pos[u]:
-            arcs.discard((v, u))
-            arcs.add((u, v))
-    arcs.discard((0, n - 1))
-    arcs.add((n - 1, 0))
-    return et.Digraph(n, arcs)
-
-
 def _networkx_inputs():
     rng = random.Random(1905)
     for n in (10, 15, 20, 25, 30, 40, 50, 60):
         yield et.gen_random_semicomplete(n, rng.uniform(0.3, 0.9), rng.randrange(1 << 30))
-        yield _backward_chain(n, rng)
+        yield backward_chain(n, rng)
 
 
 def test_connectivity_agrees_with_networkx() -> None:
