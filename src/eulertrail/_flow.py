@@ -1,8 +1,7 @@
-"""Small generic network-flow kernels.
+"""Generic network-flow kernels.
 
-Plain Edmonds-Karp augmentation over explicit edge lists; the networks
-built here stay tiny (node splits of digraphs with at most a few dozen
-vertices), so simplicity wins over asymptotics.
+Plain Edmonds-Karp augmentation over explicit edge lists, used on the
+split-node networks of ``degree_bounded_subgraph``.
 """
 
 from __future__ import annotations

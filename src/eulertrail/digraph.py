@@ -318,10 +318,13 @@ def parse_json(text: str) -> Digraph:
         raise ParseError('"arcs" must be a list of [tail, head] pairs')
     arcs: list[Arc] = []
     for i, item in enumerate(raw):
-        if (
-            not isinstance(item, list)
-            or len(item) != 2
-            or not all(isinstance(c, int) and not isinstance(c, bool) for c in item)
+        # exact types: json.loads makes plain lists and ints, and a bool
+        # is not an int here
+        if not (
+            type(item) is list
+            and len(item) == 2
+            and type(item[0]) is int
+            and type(item[1]) is int
         ):
             raise ParseError(f"arc #{i} must be a pair of integers")
         arcs.append((item[0], item[1]))

@@ -22,7 +22,6 @@ from .connectivity import (
     arc_connectivity,
     arc_connectivity_certificate,
     is_strong,
-    shortest_walk,
 )
 from .digraph import Arc, Digraph, require_arcs
 from .errors import ConstructionError, PreconditionError
@@ -212,23 +211,51 @@ def _allowed_add(d: Digraph, avoid: ArcSet, current: set[Arc], u: int, v: int) -
 
 
 def _cross_cycle(
-    d: Digraph, avoid: ArcSet, current: set[Arc], comp_of: dict[int, int]
+    d: Digraph, avoid: ArcSet, comp_of: dict[int, int]
 ) -> list[Arc] | None:
-    """Shortest vertex cycle whose arcs all run between distinct
-    components, found by breadth-first search from each vertex in turn."""
-    succ: dict[int, list[int]] = {}
-    for u, v in d.arcs():
-        if (
-            (u, v) not in avoid
-            and (u, v) not in current
-            and comp_of[u] != comp_of[v]
-        ):
-            succ.setdefault(u, []).append(v)
-    for s in range(d.n):
-        if s in succ:
-            cycle = shortest_walk(lambda v: succ.get(v, ()), [s], {s})
-            if cycle is not None:
+    """A vertex cycle of allowed arcs that all run between distinct
+    components: the shortest one through the smallest vertex that lies on
+    such a cycle.
+
+    Each vertex gets one bitmask row, its out-row minus its own component
+    (which holds every current arc out of it) and minus the avoided arcs.
+    Breadth-first search then runs from each vertex s in ascending order,
+    trying heads in ascending order, until a row leads back to s.
+    """
+    n = d.n
+    comp_mask: dict[int, int] = {}
+    for v, i in comp_of.items():
+        comp_mask[i] = comp_mask.get(i, 0) | 1 << v
+    out = d._out  # noqa: SLF001 - package-internal
+    rows = [out[u] & ~comp_mask[comp_of[u]] for u in range(n)]
+    for u, v in avoid:
+        if 0 <= u < n and 0 <= v < n:  # merge_all does not vet avoid
+            rows[u] &= ~(1 << v)
+    parent = [-1] * n
+    for s in range(n):
+        if not rows[s]:
+            continue
+        bit_s = 1 << s
+        seen = bit_s
+        queue = [s]
+        for v in queue:  # the queue grows while it is read
+            row = rows[v]
+            if row & bit_s:
+                cycle = [s]
+                while v != s:
+                    cycle.append(v)
+                    v = parent[v]
+                cycle.append(s)
+                cycle.reverse()
                 return list(zip(cycle, cycle[1:]))
+            step = row & ~seen
+            seen |= step
+            while step:
+                low = step & -step
+                w = low.bit_length() - 1
+                parent[w] = v
+                queue.append(w)
+                step ^= low
     return None
 
 
@@ -263,11 +290,11 @@ def _next_move(
             return option
         return None
 
-    cyc = _cross_cycle(d, avoid, current, comp_of)
+    cyc = _cross_cycle(d, avoid, comp_of)
     if cyc is not None:
-        got = usable(MergeOption("cycle", frozenset(cyc), frozenset()))
-        if got:
-            return got
+        # every arc of the cycle joins two distinct components and nothing
+        # is removed, so the count drops and no protected arc is touched
+        return MergeOption("cycle", frozenset(cyc), frozenset())
     grouped = _group_arcs(current, comp_of, before)
     for i in range(before):
         for j in range(before):

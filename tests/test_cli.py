@@ -312,6 +312,24 @@ def test_usage_errors_exit_one(tmp_path, capsys):
     assert info.value.code == 1
 
 
+def test_one_process_serves_calls_around_a_usage_error(tmp_path, capsys):
+    # the parser is built once per process; a usage error in between
+    # must neither change its exit code nor leak into the next call
+    path = _digraph_file(tmp_path, complete(4))
+    arcs = _write(tmp_path, "avoid.json", "[[0, 1]]")
+    argv = ["avoid", path, "--arcs", arcs]
+    assert main(argv) == 0
+    first, _ = capsys.readouterr()
+    with pytest.raises(SystemExit) as info:
+        main(["avoid", path, "--bogus"])
+    assert info.value.code == 1
+    _, err = capsys.readouterr()
+    assert "unrecognized arguments: --bogus" in err
+    assert main(argv) == 0
+    second, _ = capsys.readouterr()
+    assert second == first
+
+
 def test_conjecture_search_is_deterministic_across_jobs(capsys):
     argv = ["conjecture-search", "--k", "2", "--n", "6", "--trials", "20", "--seed", "7"]
     code = main(argv)

@@ -271,6 +271,38 @@ def test_flow_kernel_matches_the_dict_keyed_kernel() -> None:
         assert et.arc_disjoint_paths(d, x, y, 2) == expected
 
 
+def _flow_issues(d: et.Digraph, fwd: list[int], s: int, t: int, value: int) -> list[str]:
+    """Why the rows are not a unit s->t flow of the given value on d's arcs."""
+    issues = []
+    arcs = _row_arcs(fwd)
+    if not all(d.has_arc(u, v) for u, v in arcs):
+        issues.append("flow on a non-arc")
+    if any((v, u) in arcs for u, v in arcs):
+        issues.append("flow both ways on a 2-cycle")
+    for v in range(d.n):
+        net = sum(1 for a in arcs if a[0] == v) - sum(1 for a in arcs if a[1] == v)
+        want = value if v == s else -value if v == t else 0
+        if net != want:
+            issues.append(f"vertex {v} sends {net} net, not {want}")
+    return issues
+
+
+def test_warm_started_flow_matches_the_cold_flow() -> None:
+    rng = random.Random(11)
+    for d in _kernel_inputs():
+        k = d.n - 1
+        for _ in range(6):
+            s, t = rng.sample(range(d.n), 2)
+            value, fwd, reached = _max_flow(d, s, t, warm=True)
+            cold_value, _, cold_reached = _max_flow(d, s, t)
+            assert (value, reached) == (cold_value, cold_reached)
+            assert _flow_issues(d, fwd, s, t, value) == []
+            for limit in (0, 1, 2, k, rng.randint(0, k)):
+                value, fwd, _ = _max_flow(d, s, t, limit, warm=True)
+                assert value == min(limit, cold_value)
+                assert _flow_issues(d, fwd, s, t, value) == []
+
+
 def test_flow_kernel_cancels_the_reverse_unit_first() -> None:
     # a later augmenting path steps from 0 to 3 while (3,0) carries flow;
     # the unit on (3,0) is cancelled rather than (0,3) being filled too

@@ -139,6 +139,8 @@ def test_parse_json_rejects_malformed_input() -> None:
         '{"n": 3, "arcs": [[0, 0]]}',
         '{"n": 3, "arcs": [[0, 1, 2]]}',
         '{"n": 3, "arcs": [[0, true]]}',
+        '{"n": 3, "arcs": [[0, 1.0]]}',
+        '{"n": 3, "arcs": [["0", 1]]}',
         '{"n": 2, "arcs": [[0, 5]]}',
         '{"n": 2, "arcs": "01"}',
         f'{{"n": {MAX_VERTICES + 1}, "arcs": []}}',

@@ -5,9 +5,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.factor import is_semicomplete_multipartite
+from eulertrail.connectivity import shortest_walk
+from eulertrail.factor import (
+    _cross_cycle,
+    _factor_arcs,
+    _next_move,
+    is_semicomplete_multipartite,
+)
 from eulertrail.oracle import oracle_eulerian_factor, spanning_eulerian_exists
-from instances import complete, random_strong_semicomplete, t4, three_cycle
+from eulertrail.trails import _weak_components
+from instances import backward_chain, complete, random_strong_semicomplete, t4, three_cycle
 
 
 def balanced_everywhere(d: et.Digraph, arcs) -> bool:
@@ -122,6 +129,79 @@ def test_merge_all_respects_avoid() -> None:
     merged = et.merge_all(d, factor, avoid=avoid)
     assert merged is not None
     assert not (merged & avoid)
+
+
+def _reference_cross_cycle(d, avoid, current, comp_of):
+    """The cross-cycle search as it was before it moved onto bitmask rows:
+    successor lists rebuilt from every arc, then the shared shortest-walk
+    search from each vertex in turn."""
+    succ: dict = {}
+    for u, v in d.arcs():
+        if (u, v) not in avoid and (u, v) not in current and comp_of[u] != comp_of[v]:
+            succ.setdefault(u, []).append(v)
+    for s in range(d.n):
+        if s in succ:
+            cycle = shortest_walk(lambda v: succ.get(v, ()), [s], {s})
+            if cycle is not None:
+                return list(zip(cycle, cycle[1:]))
+    return None
+
+
+def _merge_states(d, avoid, arcs):
+    """(current arcs, component of each vertex) before every move that
+    merge_all makes from the given factor arcs, and after the last one."""
+    current = set(arcs)
+    for _ in range(d.n + 2):
+        comps = _weak_components(d.n, current)
+        comp_of = {v: i for i, c in enumerate(comps) for v in c}
+        yield current, comp_of
+        if len(comps) <= 1:
+            return
+        move = _next_move(d, avoid, current, comps, comp_of, frozenset())
+        if move is None:
+            return
+        current = (current - move.remove_arcs) | move.add_arcs
+
+
+def _merge_inputs():
+    """Seeded digraphs with 4 <= n <= 30 and a non-empty avoided set:
+    semicomplete ones, backward chains and sparse ones."""
+    rng = random.Random(20190528)
+    for i in range(90):
+        n = rng.randint(4, 30)
+        kind = i % 3
+        if kind == 0:
+            d = et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30))
+        elif kind == 1:
+            d = backward_chain(n, rng)
+        else:
+            p = rng.uniform(0.2, 0.7)
+            d = et.Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                               if u != v and rng.random() < p])
+        arcs = list(d.arcs())
+        if not arcs:
+            continue
+        k = rng.choice((1, 2, 3, len(arcs) // 4 or 1))
+        yield d, frozenset(rng.sample(arcs, min(k, len(arcs)))), rng
+
+
+def test_cross_cycle_matches_the_shortest_walk_search() -> None:
+    found = stuck = 0
+    for d, avoid, rng in _merge_inputs():
+        allowed = [a for a in d.arcs() if a not in avoid]
+        for _ in range(3):  # the factor in input order, then two shuffles
+            picked, _, _ = _factor_arcs(d.n, allowed)
+            if picked is None:
+                break
+            for current, comp_of in _merge_states(d, avoid, picked):
+                got = _cross_cycle(d, avoid, comp_of)
+                assert got == _reference_cross_cycle(d, avoid, current, comp_of)
+                if len(set(comp_of.values())) > 1:
+                    found += got is not None
+                    stuck += got is None
+            rng.shuffle(allowed)
+    # both outcomes occur among the states with several components
+    assert found > 50 and stuck > 20
 
 
 def test_is_semicomplete_multipartite() -> None:
