@@ -30,7 +30,6 @@ from .connectivity import (
     cut_arcs,
     is_strong,
     shortest_walk,
-    strong_components,
 )
 from .decomposition import (
     Decomposition,
@@ -38,11 +37,11 @@ from .decomposition import (
     natural_backward_ordering,
     nice_decomposition,
 )
-from .digraph import Arc, Digraph, is_semicomplete, require_arcs
+from .digraph import Arc, Digraph, _mask_of, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .factor import ObstructionPartition, merge_all, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
-from .hamilton import hamiltonian_path_between, path_within
+from .hamilton import _component_path, _path_between
 from .trails import EulerianSubdigraph, spanning_trail
 
 
@@ -143,33 +142,16 @@ def _backward_witness(d: Digraph, dec: Decomposition) -> frozenset[Arc]:
             else:
                 seq.append(s_next)
         seq.append(t_next)
-    first_piece = path_within(d, dec.sets[-1], end=seq[0])
-    last_piece = path_within(d, dec.sets[0], start=seq[-1])
+    first_piece = _component_path(d, _mask_of(dec.sets[-1]), end=seq[0])
+    last_piece = _component_path(d, _mask_of(dec.sets[0]), start=seq[-1])
     q1 = first_piece + seq[1:-1] + last_piece
     q1_arcs = {(q1[i], q1[i + 1]) for i in range(len(q1) - 1)}
-    internals = set(q1[1:-1])
-    if internals:
-        keep = [v for v in d.vertices() if v not in internals]
-        sub, ids = d.induced(keep)
-        q2_local = hamiltonian_path_between(sub, ids.index(q1[-1]), ids.index(q1[0]))
-        q2 = [ids[w] for w in q2_local]
-    else:
-        # q1 is the lone backward arc between two singleton sets, so the
-        # remainder keeps every vertex; dropping that arc may orphan the
-        # pair, which the generic path builder refuses.  Its strong
-        # components are the decomposition sets in order, and every arc
-        # between different sets now points forward, so chaining a
-        # hamiltonian path per set closes the cycle.
-        rest = d.remove_arcs(sorted(q1_arcs))
-        comps = strong_components(rest)
-        pieces = [path_within(rest, comps[0], start=q1[-1])]
-        pieces.extend(path_within(rest, c) for c in comps[1:-1])
-        pieces.append(path_within(rest, comps[-1], end=q1[0]))
-        q2 = []
-        for piece in pieces:
-            if q2 and not rest.has_arc(q2[-1], piece[0]):
-                raise ConstructionError("missing bridge between remainder components")
-            q2.extend(piece)
+    internals = _mask_of(q1[1:-1])
+    # with internals, every arc of q1 leaves the remainder; without, q1 is
+    # the lone backward arc between two singleton sets, and dropping it
+    # leaves the decomposition sets as the strong components in order
+    rest = d if internals else d.remove_arcs(sorted(q1_arcs))
+    q2 = _path_between(rest, (1 << d.n) - 1 & ~internals, q1[-1], q1[0])
     arcs = set(q1_arcs)
     arcs |= {(q2[i], q2[i + 1]) for i in range(len(q2) - 1)}
     return frozenset(arcs)

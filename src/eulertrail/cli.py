@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import random
 import sys
 from functools import cache, partial
@@ -39,7 +40,9 @@ from .decomposition import (
     nice_decomposition,
     one_decomposition,
 )
-from .digraph import Arc, Digraph, gen_random_semicomplete, is_semicomplete, parse_json, to_dot
+from .digraph import (
+    MAX_VERTICES, Arc, Digraph, gen_random_semicomplete, is_semicomplete, parse_json, to_dot
+)
 from .errors import ConstructionError, EulertrailError, ParseError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, spanning_eulerian_avoiding
 from .trails import EulerianSubdigraph, spanning_trail
@@ -379,8 +382,15 @@ def run_conjecture_search(
     """Probe random high-connectivity instances for avoidance failures.
 
     Each trial is deterministic given (seed, index), so results are
-    reproducible and mergeable regardless of worker count.
+    reproducible and mergeable regardless of worker count.  More jobs
+    than CPUs, or digraphs above ``MAX_VERTICES``, are refused before any
+    worker starts.
     """
+    cpus = os.cpu_count() or 1
+    if jobs > cpus:
+        raise PreconditionError(f"jobs must be at most the CPU count, {cpus}")
+    if n_max > MAX_VERTICES:
+        raise PreconditionError(f"n must be at most {MAX_VERTICES}")
     worker = partial(_run_trial, seed, k, n_max)
     if jobs > 1:
         from concurrent.futures import ProcessPoolExecutor

@@ -1,5 +1,10 @@
 """Strong connectivity, cut arcs, arc-connectivity, and Menger certificates.
 
+Strong connectivity runs on a vertex subset given as a bitmask over the
+digraph's own rows (``_strong``, ``_components``), so no other module
+needs a relabelled copy of a subset; ``is_strong`` and
+``strong_components`` are the whole-digraph cases.
+
 The max-flow kernel is a plain BFS-augmenting unit-capacity flow over the
 digraph's own arcs, kept as two lists of bitmask rows: ``fwd[u]`` holds
 the heads of the arcs out of u that carry flow and ``back[v]`` the tails
@@ -23,7 +28,6 @@ paths off flow arcs.
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Container, Iterable, Sequence
@@ -61,28 +65,66 @@ class CutCertificate:
         return []
 
 
-def _closure(rows: Sequence[int], start: int) -> int:
-    """Mask of vertices reachable from ``start`` along ``rows`` adjacency."""
+def _closure(rows: Sequence[int], start: int, within: int = -1) -> int:
+    """Mask of vertices reachable from ``start`` along ``rows`` adjacency
+    without leaving the ``within`` mask (every vertex by default)."""
     seen = 1 << start
     frontier = seen
     while frontier:
         nxt = 0
         for v in _mask_bits(frontier):
             nxt |= rows[v]
-        frontier = nxt & ~seen
+        frontier = nxt & within & ~seen
         seen |= frontier
     return seen
 
 
+def _strong(d: Digraph, within: int) -> bool:
+    """True iff the vertices of ``within`` induce a strong subdigraph of d
+    (at most one vertex counts as strong)."""
+    if not within:
+        return True
+    v = (within & -within).bit_length() - 1
+    return (
+        _closure(d._out, v, within) == within  # noqa: SLF001 - package-internal
+        and _closure(d._in, v, within) == within  # noqa: SLF001
+    )
+
+
 def is_strong(d: Digraph) -> bool:
     """True iff every ordered pair is joined by a path (n <= 1 counts as strong)."""
-    if d.n <= 1:
-        return True
-    full = (1 << d.n) - 1
-    return (
-        _closure(d._out, 0) == full  # noqa: SLF001 - package-internal
-        and _closure(d._in, 0) == full  # noqa: SLF001
-    )
+    return _strong(d, (1 << d.n) - 1)
+
+
+def _components(d: Digraph, within: int) -> list[int]:
+    """Strong components of the subdigraph induced by ``within``, as masks,
+    in ``strong_components`` order.
+
+    The component of the smallest vertex v not yet placed is the set of
+    unplaced vertices that v reaches and that reach v; every path between
+    two of them stays inside what v reaches, so the backward search need
+    look no further.  The order then takes, again and again, the first
+    component by smallest vertex that no remaining component has an arc
+    into.
+    """
+    out, into = d._out, d._in  # noqa: SLF001 - package-internal
+    found = []  # (component, tails of its entering arcs), by smallest vertex
+    left = within
+    while left:
+        v = (left & -left).bit_length() - 1
+        comp = _closure(into, v, _closure(out, v, left))
+        tails = 0
+        for w in _mask_bits(comp):
+            tails |= into[w]
+        found.append((comp, tails & ~comp))
+        left &= ~comp
+    order: list[int] = []
+    left = within
+    while found:
+        comp, _ = found.pop(next(i for i, (_, tails) in enumerate(found) if not tails & left))
+        left &= ~comp
+        order.append(comp)
+    return order
 
 
 def strong_components(d: Digraph) -> list[frozenset[int]]:
@@ -92,64 +134,7 @@ def strong_components(d: Digraph) -> list[frozenset[int]]:
     incomparable components are broken by smallest contained vertex id, so
     the output is deterministic.
     """
-    n = d.n
-    # Kosaraju: iterative DFS finish order, then reverse-digraph collection.
-    order: list[int] = []
-    seen = [False] * n
-    for root in range(n):
-        if seen[root]:
-            continue
-        seen[root] = True
-        iters = {root: d.out_neighbors(root)}
-        path = [root]
-        while path:
-            v = path[-1]
-            for w in iters[v]:
-                if not seen[w]:
-                    seen[w] = True
-                    iters[w] = d.out_neighbors(w)
-                    path.append(w)
-                    break
-            else:
-                order.append(path.pop())
-    comp_of = [-1] * n
-    comps: list[set[int]] = []
-    for root in reversed(order):
-        if comp_of[root] != -1:
-            continue
-        cid = len(comps)
-        bucket = {root}
-        comp_of[root] = cid
-        frontier = [root]
-        while frontier:
-            v = frontier.pop()
-            for w in d.in_neighbors(v):
-                if comp_of[w] == -1:
-                    comp_of[w] = cid
-                    bucket.add(w)
-                    frontier.append(w)
-        comps.append(bucket)
-    # Kahn's algorithm on the component DAG, min-vertex-id tie-break.
-    k = len(comps)
-    succ: list[set[int]] = [set() for _ in range(k)]
-    indeg = [0] * k
-    for u, v in d.arcs():
-        cu, cv = comp_of[u], comp_of[v]
-        if cu != cv and cv not in succ[cu]:
-            succ[cu].add(cv)
-            indeg[cv] += 1
-    key = [min(c) for c in comps]
-    heap = [(key[i], i) for i in range(k) if indeg[i] == 0]
-    heapq.heapify(heap)
-    result: list[frozenset[int]] = []
-    while heap:
-        _, i = heapq.heappop(heap)
-        result.append(frozenset(comps[i]))
-        for j in sorted(succ[i]):
-            indeg[j] -= 1
-            if indeg[j] == 0:
-                heapq.heappush(heap, (key[j], j))
-    return result
+    return [frozenset(_mask_bits(c)) for c in _components(d, (1 << d.n) - 1)]
 
 
 @lru_cache(maxsize=1024)

@@ -13,8 +13,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .connectivity import arc_disjoint_paths, cut_arcs, is_strong, strong_components
-from .digraph import Arc, Digraph, is_semicomplete
+from .connectivity import _strong, arc_disjoint_paths, cut_arcs, is_strong, strong_components
+from .digraph import Arc, Digraph, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 
 
@@ -159,8 +159,7 @@ def verify_structure(dec: Decomposition, d: Digraph) -> list[str]:
         issues.append("sets do not cover the vertex set")
         return issues
     for i, s in enumerate(dec.sets):
-        sub, _ = d.induced(s)
-        if not is_strong(sub):
+        if not _strong(d, _mask_of(s)):
             issues.append(f"set {i} does not induce a strong subdigraph")
     if not is_strong(d):
         issues.append("digraph not strong")

@@ -29,6 +29,14 @@ def _mask_bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
+def _mask_of(vertices: Iterable[int]) -> int:
+    """The mask with the bit of each of ``vertices`` set."""
+    mask = 0
+    for v in vertices:
+        mask |= 1 << v
+    return mask
+
+
 class Digraph:
     """Immutable simple digraph on vertices ``0..n-1``."""
 

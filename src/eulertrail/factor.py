@@ -259,11 +259,6 @@ def _cross_cycle(
     return None
 
 
-def _components_after(n: int, current: set[Arc], option: MergeOption) -> int:
-    trial = (current - option.remove_arcs) | option.add_arcs
-    return len(_weak_components(n, trial))
-
-
 def _group_arcs(
     current: set[Arc], comp_of: dict[int, int], count: int
 ) -> list[list[Arc]]:
@@ -281,15 +276,16 @@ def _next_move(
     comp_of: dict[int, int],
     protected: ArcSet,
 ) -> MergeOption | None:
+    """The first applicable move, or None.
+
+    Every insert, swap and reroute candidate merges exactly two
+    components, so only its protected arcs can rule it out.  Removing one
+    arc from a closed component leaves an open trail through all of its
+    vertices, and the two added arcs join that trail to the other
+    component; a reroute bypasses only one of y's two or more visits, so
+    y stays on its component's trail.
+    """
     before = len(comps)
-
-    def usable(option: MergeOption) -> MergeOption | None:
-        if option.remove_arcs & protected:
-            return None
-        if _components_after(d.n, current, option) < before:
-            return option
-        return None
-
     cyc = _cross_cycle(d, avoid, comp_of)
     if cyc is not None:
         # every arc of the cycle joins two distinct components and nothing
@@ -301,35 +297,31 @@ def _next_move(
             if i == j:
                 continue
             for u, v in grouped[i]:
+                if (u, v) in protected:
+                    continue
                 for w in sorted(comps[j]):
                     if _allowed_add(d, avoid, current, u, w) and _allowed_add(
                         d, avoid, current, w, v
                     ):
-                        got = usable(
-                            MergeOption(
-                                "insert",
-                                frozenset(((u, w), (w, v))),
-                                frozenset(((u, v),)),
-                            )
+                        return MergeOption(
+                            "insert", frozenset(((u, w), (w, v))), frozenset(((u, v),))
                         )
-                        if got:
-                            return got
     for i in range(before):
         for j in range(i + 1, before):
             for u, v in grouped[i]:
+                if (u, v) in protected:
+                    continue
                 for w, z in grouped[j]:
-                    if _allowed_add(d, avoid, current, u, z) and _allowed_add(
-                        d, avoid, current, w, v
+                    if (
+                        (w, z) not in protected
+                        and _allowed_add(d, avoid, current, u, z)
+                        and _allowed_add(d, avoid, current, w, v)
                     ):
-                        got = usable(
-                            MergeOption(
-                                "swap",
-                                frozenset(((u, z), (w, v))),
-                                frozenset(((u, v), (w, z))),
-                            )
+                        return MergeOption(
+                            "swap",
+                            frozenset(((u, z), (w, v))),
+                            frozenset(((u, v), (w, z))),
                         )
-                        if got:
-                            return got
     for j in range(before):
         tour = closed_tour(grouped[j], min(comps[j]))
         k = len(tour)
@@ -337,10 +329,10 @@ def _next_move(
         for v in tour:
             visits[v] = visits.get(v, 0) + 1
         for idx, y in enumerate(tour):
-            if visits[y] < 2:
-                continue
             p = tour[idx - 1]
             s = tour[(idx + 1) % k]
+            if visits[y] < 2 or (p, y) in protected or (y, s) in protected:
+                continue
             for i in range(before):
                 if i == j:
                     continue
@@ -349,15 +341,11 @@ def _next_move(
                         _allowed_add(d, avoid, current, p, x)
                         and _allowed_add(d, avoid, current, x, s)
                     ):
-                        got = usable(
-                            MergeOption(
-                                "reroute",
-                                frozenset(((p, x), (x, s))),
-                                frozenset(((p, y), (y, s))),
-                            )
+                        return MergeOption(
+                            "reroute",
+                            frozenset(((p, x), (x, s))),
+                            frozenset(((p, y), (y, s))),
                         )
-                        if got:
-                            return got
     return None
 
 
@@ -371,9 +359,9 @@ def merge_all(
     """Weld a factor's components into one, or None when no move applies.
 
     Moves are tried in a fixed order (cross-component cycle, insertion
-    through a foreign vertex, arc swap, revisit reroute); each applied
-    move must strictly reduce the component count, and protected arcs are
-    never removed.
+    through a foreign vertex, arc swap, revisit reroute); each move joins
+    components, so the count strictly drops, and protected arcs are never
+    removed.
     """
     avoid = frozenset(avoid)
     current = set(factor_arcs)

@@ -4,14 +4,19 @@ All constructions are insertion-based and deterministic: vertices are
 considered in increasing id order and ties break toward the smallest index.
 Paths and cycles are returned as vertex sequences; a cycle's closing arc
 (last vertex back to first) is implicit.
+
+The constructions run on a vertex subset given as a bitmask over the
+parent digraph's rows, in the parent's vertex ids, and trust their
+caller to hold a semicomplete (where needed, strong) subset.  The public
+functions check that once; callers that already hold one call them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .connectivity import is_strong, shortest_walk, strong_components
-from .digraph import Arc, Digraph, is_semicomplete
+from .connectivity import _components, _strong, is_strong, shortest_walk
+from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 
 
@@ -56,40 +61,35 @@ def hamiltonian_path(d: Digraph) -> list[int]:
     return path
 
 
-def _shortest_cycle_seed(d: Digraph) -> list[int]:
-    """A 2- or 3-cycle of a strong semicomplete digraph (lex-first)."""
-    for u in range(d.n):
-        for v in d.out_neighbors(u):
-            if v > u and d.has_arc(v, u):
-                return [u, v]
-    for u in range(d.n):
-        for v in d.out_neighbors(u):
-            for w in d.out_neighbors(v):
-                if w != u and d.has_arc(w, u):
-                    return [u, v, w]
+def _shortest_cycle_seed(d: Digraph, within: int) -> list[int]:
+    """A 2- or 3-cycle of a strong semicomplete set (lex-first)."""
+    out, into = d._out, d._in  # noqa: SLF001 - package-internal
+    for u in _mask_bits(within):
+        later = out[u] & into[u] & within & ~((2 << u) - 1)
+        if later:
+            return [u, (later & -later).bit_length() - 1]
+    for u in _mask_bits(within):
+        for v in _mask_bits(out[u] & within):
+            back = out[v] & into[u] & within
+            if back:
+                return [u, v, (back & -back).bit_length() - 1]
     raise ConstructionError("strong semicomplete digraph with no short cycle")
 
 
-def hamiltonian_cycle(d: Digraph) -> list[int]:
-    """Hamiltonian cycle of a strong semicomplete digraph (n >= 2).
+def _cycle(d: Digraph, within: int) -> list[int]:
+    """Hamiltonian cycle of the strong semicomplete subdigraph that the
+    ``within`` mask (two or more vertices) induces, on d's vertex ids.
 
     Grows a short seed cycle by single-vertex insertion; when no outside
     vertex can be inserted, a domination argument yields an arc from the
     strictly-dominated side to the strictly-dominating side, letting two
     vertices splice in at once.
     """
-    _require_semicomplete(d)
-    if d.n < 2:
-        raise PreconditionError("hamiltonian_cycle requires n >= 2")
-    if not is_strong(d):
-        raise PreconditionError("hamiltonian_cycle requires a strong digraph")
-    cycle = _shortest_cycle_seed(d)
-    on = set(cycle)
-    while len(cycle) < d.n:
-        inserted = False
-        for v in range(d.n):
-            if v in on:
-                continue
+    out, into = d._out, d._in  # noqa: SLF001 - package-internal
+    cycle = _shortest_cycle_seed(d, within)
+    on = _mask_of(cycle)
+    while on != within:
+        for v in _mask_bits(within & ~on):
             k = len(cycle)
             spot = next(
                 (
@@ -101,56 +101,55 @@ def hamiltonian_cycle(d: Digraph) -> list[int]:
             )
             if spot is not None:
                 cycle.insert(spot + 1, v)
-                on.add(v)
-                inserted = True
+                on |= 1 << v
                 break
-        if inserted:
-            continue
-        # every outside vertex either dominates the whole cycle or is
-        # dominated by it; strongness forces an arc between the two camps
-        outside = [v for v in range(d.n) if v not in on]
-        dominated = [v for v in outside if not any(d.has_arc(v, c) for c in cycle)]
-        dominating = [v for v in outside if not any(d.has_arc(c, v) for c in cycle)]
-        splice = next(
-            (
-                (w, z)
-                for w in dominated
-                for z in dominating
-                if d.has_arc(w, z)
-            ),
-            None,
-        )
-        if splice is None:
-            raise ConstructionError("insertion stalled in a strong semicomplete digraph")
-        w, z = splice
-        cycle[1:1] = [w, z]  # cycle[0] -> w (dominated), z -> cycle[1] (dominating)
-        on.update((w, z))
+        else:
+            # every outside vertex either dominates the whole cycle or is
+            # dominated by it; strongness forces an arc between the two camps
+            outside = within & ~on
+            dominating = _mask_of(v for v in _mask_bits(outside) if not into[v] & on)
+            w = next(
+                (
+                    w
+                    for w in _mask_bits(outside)
+                    if not out[w] & on and out[w] & dominating
+                ),
+                None,
+            )
+            if w is None:
+                raise ConstructionError("insertion stalled in a strong semicomplete digraph")
+            heads = out[w] & dominating
+            z = (heads & -heads).bit_length() - 1
+            cycle[1:1] = [w, z]  # cycle[0] -> w (dominated), z -> cycle[1] (dominating)
+            on |= 1 << w | 1 << z
     return cycle
 
 
-def _out_generator_ok(comps: list[frozenset[int]], x: int) -> bool:
-    return x in comps[0]
+def hamiltonian_cycle(d: Digraph) -> list[int]:
+    """Hamiltonian cycle of a strong semicomplete digraph (n >= 2)."""
+    _require_semicomplete(d)
+    if d.n < 2:
+        raise PreconditionError("hamiltonian_cycle requires n >= 2")
+    if not is_strong(d):
+        raise PreconditionError("hamiltonian_cycle requires a strong digraph")
+    return _cycle(d, (1 << d.n) - 1)
 
 
-def _in_generator_ok(comps: list[frozenset[int]], y: int) -> bool:
-    return y in comps[-1]
-
-
-def _component_path(d: Digraph, comp: frozenset[int], start: int | None, end: int | None) -> list[int]:
-    """Hamiltonian path of a strong component with optional fixed start or end."""
-    sub, ids = d.induced(comp)
-    if sub.n == 1:
-        return list(ids)
-    cyc = hamiltonian_cycle(sub)
+def _component_path(
+    d: Digraph, comp: int, start: int | None = None, end: int | None = None
+) -> list[int]:
+    """Hamiltonian path of a strong semicomplete set with optional fixed
+    start or end vertex."""
+    if comp & (comp - 1) == 0:
+        return [comp.bit_length() - 1]
+    cyc = _cycle(d, comp)
     if start is not None:
-        i = cyc.index(ids.index(start))
-        seq = cyc[i:] + cyc[:i]
-    elif end is not None:
-        i = cyc.index(ids.index(end))
-        seq = cyc[i + 1 :] + cyc[: i + 1]
-    else:
-        seq = cyc
-    return [ids[v] for v in seq]
+        i = cyc.index(start)
+        return cyc[i:] + cyc[:i]
+    if end is not None:
+        i = cyc.index(end)
+        return cyc[i + 1 :] + cyc[: i + 1]
+    return cyc
 
 
 def path_within(
@@ -163,44 +162,87 @@ def path_within(
     or end vertex (at most one of the two)."""
     if start is not None and end is not None:
         raise PreconditionError("fix at most one endpoint")
-    return _component_path(d, frozenset(vertices), start, end)
+    vertices = set(vertices)
+    if not vertices or not all(0 <= v < d.n for v in vertices):
+        raise PreconditionError("path_within needs a non-empty set of vertices of d")
+    if not {start, end} - {None} <= vertices:
+        raise PreconditionError("a fixed endpoint must lie in the vertex set")
+    within = _mask_of(vertices)
+    for v in vertices:
+        if (d.out_mask(v) | d.in_mask(v) | 1 << v) & within != within:
+            raise PreconditionError("operation requires a semicomplete digraph")
+    if not _strong(d, within):
+        raise PreconditionError("path_within requires a strong induced subdigraph")
+    return _component_path(d, within, start, end)
+
+
+def _path_between(d: Digraph, within: int, x: int, y: int | None = None) -> list[int]:
+    """Hamiltonian path of the semicomplete subdigraph that ``within``
+    induces, from x and, when y is given, to y, on d's vertex ids.
+
+    Successive strong components fully dominate later ones in a
+    semicomplete digraph, so per-component paths chain with the bridging
+    arcs always present.  Raises ``PreconditionError`` unless x lies in
+    the first strong component and, when y is given, the set is not
+    strong and y lies in its last strong component.
+    """
+    comps = _components(d, within)
+    if not comps[0] >> x & 1:
+        raise PreconditionError("x is not an out-generator (not in the first strong component)")
+    if y is not None:
+        if len(comps) == 1:
+            raise PreconditionError(
+                "a fixed terminal requires a non-strong digraph (y in-generator)"
+            )
+        if not comps[-1] >> y & 1:
+            raise PreconditionError("y is not an in-generator (not in the last strong component)")
+    path: list[int] = []
+    for i, comp in enumerate(comps):
+        piece = _component_path(
+            d, comp, x if i == 0 else None, y if i == len(comps) - 1 else None
+        )
+        if path and not d.has_arc(path[-1], piece[0]):
+            raise ConstructionError("missing bridge arc between strong components")
+        path.extend(piece)
+    return path
 
 
 def hamiltonian_path_between(d: Digraph, x: int, y: int | None = None) -> list[int]:
     """Hamiltonian path from x, ending at y when given.
 
     Preconditions (checked): d semicomplete; x an out-generator; when y is
-    given, d must be non-strong and y an in-generator.  Successive strong
-    components fully dominate later ones in a semicomplete digraph, so
-    per-component paths chain with the bridging arcs always present.
+    given, d must be non-strong and y an in-generator.
     """
     _require_semicomplete(d)
     if not (0 <= x < d.n):
         raise PreconditionError("x must be a vertex")
-    comps = strong_components(d)
-    if not _out_generator_ok(comps, x):
-        raise PreconditionError("x is not an out-generator (not in the first strong component)")
-    if y is None:
-        pieces = [_component_path(d, comps[0], x, None)]
-        pieces += [_component_path(d, c, None, None) for c in comps[1:]]
-    else:
-        if not (0 <= y < d.n):
-            raise PreconditionError("y must be a vertex")
-        if len(comps) == 1:
-            raise PreconditionError(
-                "a fixed terminal requires a non-strong digraph (y in-generator)"
-            )
-        if not _in_generator_ok(comps, y):
-            raise PreconditionError("y is not an in-generator (not in the last strong component)")
-        pieces = [_component_path(d, comps[0], x, None)]
-        pieces += [_component_path(d, c, None, None) for c in comps[1:-1]]
-        pieces.append(_component_path(d, comps[-1], None, y))
-    path: list[int] = []
-    for piece in pieces:
-        if path and not d.has_arc(path[-1], piece[0]):
-            raise ConstructionError("missing bridge arc between strong components")
-        path.extend(piece)
-    return path
+    if y is not None and not (0 <= y < d.n):
+        raise PreconditionError("y must be a vertex")
+    return _path_between(d, (1 << d.n) - 1, x, y)
+
+
+def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
+    """``cycle_covering_complement`` on trusted input: ``core`` is the mask
+    of the vertices outside V(f) plus z, h is d minus A(f) and strong, and
+    every two core vertices are adjacent."""
+    if core & (core - 1) == 0:
+        # degenerate: a shortest cycle through z in h
+        z = core.bit_length() - 1
+        cycle = shortest_walk(h.out_neighbors, [z], {z})
+        if cycle is None:
+            raise ConstructionError("no cycle through z in a strong digraph")
+        return cycle[:-1]
+    comps = _components(d, core)
+    if len(comps) == 1:
+        return _cycle(d, core)
+    # shortest path in h from the in-generator side back to the out-generator
+    # side: it runs from a last-component vertex to a first-component one
+    patch = shortest_walk(h.out_neighbors, _mask_bits(comps[-1]), set(_mask_bits(comps[0])))
+    if patch is None:
+        raise ConstructionError("no patch path despite d minus f-arcs being strong")
+    rest = core & ~_mask_of(patch[1:-1])
+    bridge = _path_between(d, rest, patch[-1], patch[0])
+    return bridge[:-1] + patch[:-1]
 
 
 def cycle_covering_complement(d: Digraph, f: SubDigraph, z: int) -> list[int]:
@@ -214,42 +256,20 @@ def cycle_covering_complement(d: Digraph, f: SubDigraph, z: int) -> list[int]:
     """
     if z not in f.vertices:
         raise PreconditionError("z must belong to the avoided subdigraph's vertex set")
+    if not 0 <= z < d.n:
+        raise PreconditionError("z must be a vertex")
+    core = _mask_of(v for v in d.vertices() if v == z or v not in f.vertices)
     # adjacency may only be missing at pairs with an endpoint in V(f) - z,
     # since such vertices never enter the core or its bridging path
-    for u in range(d.n):
-        adj = d.out_mask(u) | d.in_mask(u)
-        for v in range(u + 1, d.n):
-            if not (adj >> v) & 1:
-                if not (
-                    (u in f.vertices and u != z) or (v in f.vertices and v != z)
-                ):
-                    raise PreconditionError(
-                        f"vertices {u} and {v} are non-adjacent outside the "
-                        "avoided subdigraph"
-                    )
+    for u in _mask_bits(core):
+        apart = core & ~(d.out_mask(u) | d.in_mask(u) | 1 << u)
+        if apart:
+            v = (apart & -apart).bit_length() - 1
+            raise PreconditionError(
+                f"vertices {u} and {v} are non-adjacent outside the "
+                "avoided subdigraph"
+            )
     h = d.remove_arcs(f.arcs)
     if not is_strong(h):
         raise PreconditionError("d minus the arcs of f must be strong")
-    core = (set(d.vertices()) - set(f.vertices)) | {z}
-    if len(core) == 1:
-        # degenerate: a shortest cycle through z in h
-        cycle = shortest_walk(h.out_neighbors, [z], {z})
-        if cycle is None:
-            raise ConstructionError("no cycle through z in a strong digraph")
-        return cycle[:-1]
-    sub, ids = d.induced(core)
-    if is_strong(sub):
-        return [ids[v] for v in hamiltonian_cycle(sub)]
-    comps = strong_components(sub)
-    first = {ids[v] for v in comps[0]}
-    last = {ids[v] for v in comps[-1]}
-    # shortest path in h from the in-generator side back to the out-generator
-    # side: it runs from a last-component vertex to a first-component one
-    patch = shortest_walk(h.out_neighbors, sorted(last), first)
-    if patch is None:
-        raise ConstructionError("no patch path despite d minus f-arcs being strong")
-    internal = set(patch[1:-1])
-    rest = core - internal
-    sub2, ids2 = d.induced(rest)
-    bridge = hamiltonian_path_between(sub2, ids2.index(patch[-1]), ids2.index(patch[0]))
-    return [ids2[v] for v in bridge[:-1]] + patch[:-1]
+    return _covering_cycle(d, h, core)

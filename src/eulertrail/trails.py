@@ -16,15 +16,15 @@ from dataclasses import dataclass
 
 from .connectivity import (
     CutCertificate,
+    _components,
     arc_connectivity,
     arc_disjoint_paths,
     flow_paths,
     is_strong,
-    strong_components,
 )
-from .digraph import Arc, Digraph, is_semicomplete
+from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
-from .hamilton import SubDigraph, cycle_covering_complement, hamiltonian_cycle
+from .hamilton import _covering_cycle, _cycle, _path_between, hamiltonian_cycle
 from ._flow import degree_bounded_subgraph
 
 _INF = float("inf")
@@ -231,14 +231,15 @@ def _direct_arc_case(
     d0 = d.remove_arcs([(y, x)]) if d.has_arc(y, x) else d
     h = d0.remove_arcs([(x, y)])
     if is_strong(h):
+        # the cycle avoids xy and covers every vertex but y
         _note(trace, "direct-arc-covering-cycle")
-        f = SubDigraph(frozenset((x, y)), frozenset(((x, y),)))
-        cyc = cycle_covering_complement(d0, f, x)
+        cyc = _covering_cycle(d0, h, (1 << d.n) - 1 & ~(1 << y))
         arcs = set(_cycle_arcs(cyc))
         arcs.add((x, y))
         return frozenset(arcs)
     # removing xy keeps d strong (the second disjoint path reroutes), and
-    # yx is a cut arc there, so every hamiltonian cycle must traverse it
+    # yx is a cut arc there, so every hamiltonian cycle must traverse it;
+    # without yx, d minus xy is not semicomplete, and the check refuses it
     _note(trace, "direct-arc-ham-cycle")
     dstar = d.remove_arcs([(x, y)])
     cyc = hamiltonian_cycle(dstar)
@@ -267,19 +268,18 @@ def _split_case(
     """Cases for xy absent and d minus yx strong, relative to one path."""
     p1_arcs = _path_arcs(p1)
     h = dprime.remove_arcs(p1_arcs)
+    full = (1 << d.n) - 1
     if is_strong(h):
+        # the cycle avoids p1's arcs and covers every vertex off p1, plus x
         _note(trace, "path-plus-covering-cycle")
-        f = SubDigraph(frozenset(p1), frozenset(p1_arcs))
-        cyc = cycle_covering_complement(dprime, f, x)
+        cyc = _covering_cycle(dprime, h, full & ~_mask_of(p1) | 1 << x)
         return frozenset(set(_cycle_arcs(cyc)) | set(p1_arcs))
-    comps = strong_components(h)
+    comps = _components(h, full)
     tail = comps[-1]
-    head: set[int] = set()
-    for c in comps[:-1]:
-        head |= c
-    if x in tail and y in tail:
+    head = full & ~tail
+    if tail >> x & 1 and tail >> y & 1:
         return _absorb_head_side(d, x, y, p1, tail, head, trace)
-    if x in head and y in head and allow_mirror:
+    if head >> x & 1 and head >> y & 1 and allow_mirror:
         _note(trace, "mirrored")
         rev = d.reverse()
         got = _ladder_trail(rev, y, x, allow_mirror=False, trace=trace)
@@ -294,8 +294,8 @@ def _absorb_head_side(
     x: int,
     y: int,
     p1: list[int],
-    tail: frozenset[int],
-    head: set[int],
+    tail: int,
+    head: int,
     trace: list[str] | None,
 ) -> frozenset[Arc] | None:
     """Both terminals sit in the sink side: recurse there, splice the rest.
@@ -305,22 +305,18 @@ def _absorb_head_side(
     hamiltonian path of it can replace one outgoing arc of the predecessor
     in the recursive trail.
     """
-    crossings = [w for w in p1 if w in head]
+    crossings = [w for w in p1 if head >> w & 1]
     if len(crossings) != 1:
         return None
     x1 = crossings[0]
     i = p1.index(x1)
     w1 = p1[i - 1]
-    head_sub, head_ids = d.induced(head)
     try:
-        from .hamilton import hamiltonian_path_between
-
-        q_local = hamiltonian_path_between(head_sub, head_ids.index(x1))
+        q = _path_between(d, head, x1)
     except (PreconditionError, ConstructionError):
         return None
-    q = [head_ids[v] for v in q_local]
     tq = q[-1]
-    tail_sub, tail_ids = d.induced(tail)
+    tail_sub, tail_ids = d.induced(_mask_bits(tail))
     xl, yl = tail_ids.index(x), tail_ids.index(y)
     w1l = tail_ids.index(w1)
     artificial = not tail_sub.has_arc(w1l, yl)
@@ -397,7 +393,12 @@ def _ladder_trail(
     allow_mirror: bool,
     trace: list[str] | None,
 ) -> Trail | None:
-    """Candidate generation ladder; the first accepted candidate wins."""
+    """Candidate generation ladder; the first accepted candidate wins.
+
+    d is strong and semicomplete at every level: ``spanning_trail``
+    checks it, and the recursions run on its reverse or on the induced
+    sink side plus at most one arc, once that is found strong.
+    """
 
     def attempt(thunk) -> Trail | None:
         try:
@@ -416,7 +417,7 @@ def _ladder_trail(
             # yx is a cut arc, so it lies on every hamiltonian cycle of d
             def via_ham() -> frozenset[Arc]:
                 _note(trace, "cut-arc-ham-cycle")
-                arcs = set(_cycle_arcs(hamiltonian_cycle(d)))
+                arcs = set(_cycle_arcs(_cycle(d, (1 << d.n) - 1)))
                 arcs.discard((y, x))
                 return frozenset(arcs)
 

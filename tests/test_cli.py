@@ -6,12 +6,14 @@ the stderr summary, and the exit code.
 
 import io
 import json
+import os
 import random
 
 import pytest
 
 import eulertrail as et
-from eulertrail.cli import main
+from eulertrail.cli import main, run_conjecture_search
+from eulertrail.digraph import MAX_VERTICES
 from instances import complete, strong_backward_chain, t4, three_cycle
 
 
@@ -346,6 +348,25 @@ def test_conjecture_search_is_deterministic_across_jobs(capsys):
     assert main(argv + ["--jobs", "2"]) == 0
     parallel, _ = capsys.readouterr()
     assert parallel == first
+
+
+def test_conjecture_search_refuses_unbounded_jobs_and_n(capsys, monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    too_many = (os.cpu_count() or 1) + 1
+    with pytest.raises(et.PreconditionError):
+        run_conjecture_search(2, 6, too_many, 7, jobs=too_many)
+    base = ["conjecture-search", "--k", "2", "--trials", "1", "--seed", "7"]
+    assert main(base + ["--n", "6", "--jobs", str(too_many)]) == 1
+    _, err = capsys.readouterr()
+    assert "CPU count" in err
+    assert main(base + ["--n", str(MAX_VERTICES + 1)]) == 1
+    _, err = capsys.readouterr()
+    assert f"at most {MAX_VERTICES}" in err
 
 
 def test_conjecture_search_rejects_tiny_n(capsys):

@@ -1,3 +1,4 @@
+import heapq
 import random
 
 import pytest
@@ -30,6 +31,105 @@ def test_strong_components_topological_order() -> None:
     comps = et.strong_components(et.Digraph(6, arcs))
     assert comps == [frozenset({0, 1, 2}), frozenset({3, 4, 5})]
     assert et.strong_components(three_cycle()) == [frozenset({0, 1, 2})]
+
+
+def _reference_strong_components(d: et.Digraph) -> list[frozenset[int]]:
+    """The component search as it was before it moved onto vertex masks:
+    Kosaraju's two depth-first passes, then Kahn's sort of the component
+    DAG with the smallest vertex id breaking ties."""
+    n = d.n
+    order: list[int] = []
+    seen = [False] * n
+    for root in range(n):
+        if seen[root]:
+            continue
+        seen[root] = True
+        iters = {root: d.out_neighbors(root)}
+        path = [root]
+        while path:
+            v = path[-1]
+            for w in iters[v]:
+                if not seen[w]:
+                    seen[w] = True
+                    iters[w] = d.out_neighbors(w)
+                    path.append(w)
+                    break
+            else:
+                order.append(path.pop())
+    comp_of = [-1] * n
+    comps: list[set[int]] = []
+    for root in reversed(order):
+        if comp_of[root] != -1:
+            continue
+        cid = len(comps)
+        bucket = {root}
+        comp_of[root] = cid
+        frontier = [root]
+        while frontier:
+            v = frontier.pop()
+            for w in d.in_neighbors(v):
+                if comp_of[w] == -1:
+                    comp_of[w] = cid
+                    bucket.add(w)
+                    frontier.append(w)
+        comps.append(bucket)
+    k = len(comps)
+    succ: list[set[int]] = [set() for _ in range(k)]
+    indeg = [0] * k
+    for u, v in d.arcs():
+        cu, cv = comp_of[u], comp_of[v]
+        if cu != cv and cv not in succ[cu]:
+            succ[cu].add(cv)
+            indeg[cv] += 1
+    key = [min(c) for c in comps]
+    heap = [(key[i], i) for i in range(k) if indeg[i] == 0]
+    heapq.heapify(heap)
+    result: list[frozenset[int]] = []
+    while heap:
+        _, i = heapq.heappop(heap)
+        result.append(frozenset(comps[i]))
+        for j in sorted(succ[i]):
+            indeg[j] -= 1
+            if indeg[j] == 0:
+                heapq.heappush(heap, (key[j], j))
+    return result
+
+
+def _relabelled(d: et.Digraph, rng: random.Random) -> et.Digraph:
+    perm = list(range(d.n))
+    rng.shuffle(perm)
+    return et.Digraph(d.n, [(perm[u], perm[v]) for u, v in d.arcs()])
+
+
+def _component_inputs():
+    """Seeded digraphs with 0 <= n <= 40: semicomplete ones, backward
+    chains, transitive ones, and sparse ones that are not semicomplete,
+    each also with its vertices relabelled at random."""
+    rng = random.Random(7311)
+    for n in range(41):
+        for d in (
+            et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30)),
+            backward_chain(n, rng) if n >= 2 else transitive(n),
+            transitive(n),
+            et.Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                           if u != v and rng.random() < rng.choice((0.03, 0.08, 0.2))]),
+        ):
+            yield d
+            yield _relabelled(d, rng)
+
+
+def test_strong_components_match_the_kosaraju_reference() -> None:
+    incomparable = 0
+    for d in _component_inputs():
+        comps = et.strong_components(d)
+        assert comps == _reference_strong_components(d)
+        # a later component with no arc from the one before it: the
+        # smallest-vertex tie-break decided their order
+        incomparable += any(
+            not any(d.out_mask(u) >> v & 1 for u in a for v in b)
+            for a, b in zip(comps, comps[1:])
+        )
+    assert incomparable > 20
 
 
 def test_cut_arcs_frozen_values() -> None:

@@ -147,17 +147,19 @@ def _reference_cross_cycle(d, avoid, current, comp_of):
     return None
 
 
-def _merge_states(d, avoid, arcs):
-    """(current arcs, component of each vertex) before every move that
-    merge_all makes from the given factor arcs, and after the last one."""
+def _merge_states(d, avoid, arcs, protected=frozenset()):
+    """(current arcs, component of each vertex, next move) before every
+    move that merge_all makes from the given factor arcs, and after the
+    last one with no move."""
     current = set(arcs)
     for _ in range(d.n + 2):
         comps = _weak_components(d.n, current)
         comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        yield current, comp_of
         if len(comps) <= 1:
+            yield current, comp_of, None
             return
-        move = _next_move(d, avoid, current, comps, comp_of, frozenset())
+        move = _next_move(d, avoid, current, comps, comp_of, protected)
+        yield current, comp_of, move
         if move is None:
             return
         current = (current - move.remove_arcs) | move.add_arcs
@@ -193,7 +195,7 @@ def test_cross_cycle_matches_the_shortest_walk_search() -> None:
             picked, _, _ = _factor_arcs(d.n, allowed)
             if picked is None:
                 break
-            for current, comp_of in _merge_states(d, avoid, picked):
+            for current, comp_of, _ in _merge_states(d, avoid, picked):
                 got = _cross_cycle(d, avoid, comp_of)
                 assert got == _reference_cross_cycle(d, avoid, current, comp_of)
                 if len(set(comp_of.values())) > 1:
@@ -202,6 +204,38 @@ def test_cross_cycle_matches_the_shortest_walk_search() -> None:
             rng.shuffle(allowed)
     # both outcomes occur among the states with several components
     assert found > 50 and stuck > 20
+
+
+def test_every_merge_move_joins_exactly_the_components_it_touches() -> None:
+    # without the recount, a move must merge what it touches: two
+    # components for insert, swap and reroute, every one on a cycle's
+    moves = dict.fromkeys(("cycle", "insert", "swap", "reroute"), 0)
+    # the seeded inputs never need a swap or a reroute; in the first two
+    # factors nothing else applies, and in the third only a reroute that
+    # bypasses the single visit of 1 would, which must not be made
+    swap_only = (4, {(0, 1), (1, 0), (2, 3), (3, 2)}, [(0, 3), (2, 1)])
+    reroute_only = (5, {(0, 1), (1, 0), (0, 2), (2, 0), (3, 4), (4, 3)}, [(2, 3), (3, 1)])
+    single_visit = (6, {(0, 1), (1, 2), (2, 0), (0, 3), (3, 0), (4, 5), (5, 4)}, [(0, 4), (4, 2)])
+    rng = random.Random(0)
+    states = [(et.Digraph(n, factor | set(extra)), frozenset(), sorted(factor))
+              for n, factor, extra in (swap_only, reroute_only, single_visit)]
+    for d, avoid, _ in _merge_inputs():
+        allowed = [a for a in d.arcs() if a not in avoid]
+        picked, _, _ = _factor_arcs(d.n, allowed)
+        if picked is not None:
+            states.append((d, avoid, picked))
+    for d, avoid, picked in states:
+        for protected in (frozenset(), frozenset(rng.sample(picked, len(picked) // 2))):
+            for current, comp_of, move in _merge_states(d, avoid, picked, protected):
+                if move is None:
+                    continue
+                assert not move.remove_arcs & protected
+                touched = {comp_of[u] for u, _ in move.add_arcs}
+                assert len(touched) == 2 or move.rule == "cycle"
+                after = _weak_components(d.n, (current - move.remove_arcs) | move.add_arcs)
+                assert len(after) == len(set(comp_of.values())) - len(touched) + 1
+                moves[move.rule] += 1
+    assert all(moves.values()), moves
 
 
 def test_is_semicomplete_multipartite() -> None:

@@ -1,9 +1,22 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from instances import complete, figure_chain, random_strong_semicomplete, t4, three_cycle, transitive
+from eulertrail.connectivity import _components, _strong
+from eulertrail.digraph import _mask_bits, _mask_of
+from eulertrail.hamilton import _cycle, _path_between
+from instances import (
+    backward_chain,
+    complete,
+    figure_chain,
+    random_strong_semicomplete,
+    t4,
+    three_cycle,
+    transitive,
+)
 
 
 def check_path(d: et.Digraph, path: list[int]) -> None:
@@ -71,6 +84,20 @@ def test_path_within_pins_one_endpoint() -> None:
         et.path_within(d, {3, 4}, start=4, end=3)
 
 
+def test_path_within_refuses_bad_sets() -> None:
+    d = figure_chain()
+    with pytest.raises(et.PreconditionError):
+        et.path_within(d, {3, 5})  # 3 and 5 sit in different strong sets
+    with pytest.raises(et.PreconditionError):
+        et.path_within(d, {3, d.n})
+    with pytest.raises(et.PreconditionError):
+        et.path_within(d, {3, -1})
+    with pytest.raises(et.PreconditionError):
+        et.path_within(d, {3, 4}, start=5)
+    with pytest.raises(et.PreconditionError):
+        et.path_within(d, set())
+
+
 def test_path_between_with_free_end() -> None:
     d = random_strong_semicomplete(6, 17)
     for x in d.vertices():
@@ -92,6 +119,26 @@ def test_path_between_fixed_terminal() -> None:
         et.hamiltonian_path_between(d, 3, 0)
     with pytest.raises(et.PreconditionError):
         et.hamiltonian_path_between(complete(4), 0, 3)  # strong, no terminal fix
+
+
+def test_path_between_refuses_a_terminal_out_of_range() -> None:
+    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
+    arcs += [(u, v) for u in range(3) for v in range(3, 6)]
+    d = et.Digraph(6, arcs)
+    for y in (6, 100, -1):
+        with pytest.raises(et.PreconditionError, match="y must be a vertex"):
+            et.hamiltonian_path_between(d, 0, y)
+
+
+def test_cycle_covering_complement_names_the_non_adjacent_pair() -> None:
+    # 2 and 4 are joined by no arc, and neither lies in V(f) - z
+    d = complete(5).remove_arcs([(2, 4), (4, 2), (1, 3), (3, 1)])
+    f = et.SubDigraph(frozenset({0, 1}), frozenset({(0, 1)}))
+    with pytest.raises(et.PreconditionError) as info:
+        et.cycle_covering_complement(d, f, 0)
+    assert str(info.value) == (
+        "vertices 2 and 4 are non-adjacent outside the avoided subdigraph"
+    )
 
 
 def test_cycle_covering_complement_basic() -> None:
@@ -126,3 +173,43 @@ def test_cycle_covering_complement_random_single_arc(n: int, seed: int) -> None:
         for a in zip(cycle, cycle[1:] + cycle[:1]):
             assert d.has_arc(*a)
             assert a != arc
+
+
+# ---- the mask routines against the relabelled-copy route ----
+
+
+def _semicomplete_inputs():
+    """Seeded semicomplete digraphs with 2 <= n <= 24: random ones and
+    backward chains."""
+    rng = random.Random(4242)
+    for i in range(60):
+        n = rng.randint(2, 24)
+        if i % 2:
+            yield et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30)), rng
+        else:
+            yield backward_chain(n, rng), rng
+
+
+def test_mask_routines_match_the_induced_copy() -> None:
+    strong_sets = split_sets = 0
+    for d, rng in _semicomplete_inputs():
+        for _ in range(8):
+            vertices = rng.sample(range(d.n), rng.randint(2, d.n))
+            within = _mask_of(vertices)
+            sub, ids = d.induced(vertices)
+            comps = _components(d, within)
+            if _strong(d, within):
+                strong_sets += 1
+                assert _cycle(d, within) == [ids[v] for v in et.hamiltonian_cycle(sub)]
+                for x in rng.sample(vertices, min(3, len(vertices))):
+                    local = et.hamiltonian_path_between(sub, ids.index(x))
+                    assert _path_between(d, within, x) == [ids[v] for v in local]
+            else:
+                split_sets += 1
+                x = rng.choice(list(_mask_bits(comps[0])))
+                y = rng.choice(list(_mask_bits(comps[-1])))
+                local = et.hamiltonian_path_between(sub, ids.index(x), ids.index(y))
+                assert _path_between(d, within, x, y) == [ids[v] for v in local]
+                local = et.hamiltonian_path_between(sub, ids.index(x))
+                assert _path_between(d, within, x) == [ids[v] for v in local]
+    assert strong_sets > 100 and split_sets > 100
