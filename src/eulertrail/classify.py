@@ -42,7 +42,7 @@ from .errors import ConstructionError, PreconditionError
 from .factor import ObstructionPartition, merge_all, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
 from .hamilton import _component_path, _path_between
-from .trails import EulerianSubdigraph, spanning_trail
+from .trails import EulerianSubdigraph, _spanning_trail
 
 
 @dataclass(frozen=True)
@@ -169,7 +169,7 @@ def _inner_path(d: Digraph, within: frozenset[int], a: int, b: int) -> list[int]
 
 def _trail_route_witness(d: Digraph, arc: Arc) -> frozenset[Arc]:
     u, v = arc
-    trail = spanning_trail(d, v, u)
+    trail = _spanning_trail(d, v, u)
     return frozenset(trail.arcs()) | {arc}
 
 

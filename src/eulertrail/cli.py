@@ -8,7 +8,8 @@ subdigraph avoiding prescribed arcs), and ``conjecture-search`` (random
 probe for avoidance counterexamples).  JSON goes to stdout, a short
 human summary to stderr; exit codes are 0 for decided-with-certificate,
 2 for decided-impossible-with-obstruction, 3 for unknown, 1 for input
-errors.  Every certificate is re-validated before printing.
+errors.  Every certificate is re-validated before printing, each
+distinct one once per command.
 """
 
 from __future__ import annotations
@@ -85,8 +86,58 @@ def _digraph_json(d: Digraph) -> dict:
     return {"n": d.n, "arcs": _arc_rows(d.arcs())}
 
 
+_scalar_json = json.JSONEncoder().encode
+
+
+def _json_text(payload) -> str:
+    """``json.dumps(payload, indent=2, sort_keys=True)``, built faster.
+
+    Any ``indent`` sends ``json.dumps`` to the pure-Python encoder.  Here
+    scalars and keys go through the C encoder, a list of ``[int, int]``
+    pairs is filled into one template per pair, and each list's text is
+    built once per depth: rows that share a witness list share its text.
+    Keys must be strings.  Lists are keyed by ``id``, which stays unique
+    while ``payload`` holds them.
+    """
+    memo: dict[tuple[int, int], str] = {}
+
+    def text(obj, depth: int) -> str:
+        if isinstance(obj, dict):
+            if not obj:
+                return "{}"
+            inner = "\n" + "  " * (depth + 1)
+            items = (
+                _scalar_json(k) + ": " + text(v, depth + 1) for k, v in sorted(obj.items())
+            )
+            return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
+        if isinstance(obj, (list, tuple)):
+            key = (id(obj), depth)
+            got = memo.get(key)
+            if got is None:
+                got = memo[key] = list_text(obj, depth)
+            return got
+        return _scalar_json(obj)
+
+    def list_text(items, depth: int) -> str:
+        if not items:
+            return "[]"
+        inner = "\n" + "  " * (depth + 1)
+        if all(
+            type(p) is list and len(p) == 2 and type(p[0]) is int and type(p[1]) is int
+            for p in items
+        ):
+            deeper = inner + "  "
+            pair = "[" + deeper + "%d," + deeper + "%d" + inner + "]"
+            body = ("," + inner).join([pair % (u, v) for u, v in items])
+        else:
+            body = ("," + inner).join([text(x, depth + 1) for x in items])
+        return "[" + inner + body + "\n" + "  " * depth + "]"
+
+    return text(payload, 0)
+
+
 def _emit(payload: dict) -> None:
-    print(json.dumps(payload, indent=2, sort_keys=True))
+    print(_json_text(payload))
 
 
 def _say(args: argparse.Namespace, text: str) -> None:
@@ -188,16 +239,17 @@ def _checked_row(
     d: Digraph,
     cont: ArcContainment,
     unav: ArcUnavoidability,
-    checked: set[EulerianSubdigraph],
+    checked: dict[EulerianSubdigraph, list[list[int]]],
 ) -> dict:
     """One arc's row, after re-validating its certificates.  A witness in
     ``checked`` has passed ``cert.check(d)`` already, so only its relation
-    to this row's arc is checked again; rows may share witnesses."""
+    to this row's arc is checked again; rows that share a witness share
+    its sorted arc list."""
     arc = cont.arc
     for witness in (cont.witness, unav.avoidance_witness):
         if witness is not None and witness not in checked:
             _revalidate(d, witness)
-            checked.add(witness)
+            checked[witness] = _arc_rows(witness.arcs)
     if cont.witness is not None and arc not in cont.witness.arcs:
         raise ConstructionError("containment witness misses its own arc")
     if unav.avoidance_witness is not None and arc in unav.avoidance_witness.arcs:
@@ -209,13 +261,13 @@ def _checked_row(
         "arc": [arc[0], arc[1]],
         "good": cont.in_some,
         "bad_pattern": cont.obstruction,
-        "witness": _arc_rows(cont.witness.arcs) if cont.witness else None,
+        "witness": checked[cont.witness] if cont.witness else None,
         "unavoidable": unav.kind if unav.unavoidable else False,
         "cut_certificate": _cut_json(unav.cut_certificate)
         if unav.cut_certificate
         else None,
         "partition": _partition_json(unav.partition) if unav.partition else None,
-        "avoidance_witness": _arc_rows(unav.avoidance_witness.arcs)
+        "avoidance_witness": checked[unav.avoidance_witness]
         if unav.avoidance_witness
         else None,
     }
@@ -223,7 +275,7 @@ def _checked_row(
 
 def cmd_classify(args: argparse.Namespace) -> int:
     d = _load_digraph(args.input)
-    checked: set[EulerianSubdigraph] = set()
+    checked: dict[EulerianSubdigraph, list[list[int]]] = {}
     if args.arc is not None:
         arc = (args.arc[0], args.arc[1])
         cont, unav = classify_containment(d, arc), classify_unavoidable(d, arc)

@@ -49,7 +49,13 @@ class Decomposition:
         return "backward"
 
     def backward_arcs(self, d: Digraph) -> list[Arc]:
-        return [a for a in d.arcs() if self.arc_tag(a) == "backward"]
+        """The arcs of d that run backward, in ``d.arcs()`` order."""
+        return list(_backward_arcs(self, d))
+
+
+@lru_cache(maxsize=1024)
+def _backward_arcs(dec: Decomposition, d: Digraph) -> tuple[Arc, ...]:
+    return tuple(a for a in d.arcs() if dec.arc_tag(a) == "backward")
 
 
 def one_decomposition(d: Digraph) -> Decomposition:

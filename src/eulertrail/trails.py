@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 from .connectivity import (
     CutCertificate,
+    _closure,
     _components,
     arc_connectivity,
     arc_disjoint_paths,
@@ -83,11 +84,16 @@ class EulerianSubdigraph:
         issues: list[str] = []
         outs = [0] * d.n
         ins = [0] * d.n
+        near = [0] * d.n  # undirected bitmask rows of the arc set
         for u, v in self.arcs:
-            if not d.has_arc(u, v):
+            # an end outside 0..n-1 is no vertex, though a negative one
+            # would index these rows from the end
+            if not (0 <= u < d.n and 0 <= v < d.n and d.has_arc(u, v)):
                 return [f"arc ({u},{v}) is not in the digraph"]
             outs[u] += 1
             ins[v] += 1
+            near[u] |= 1 << v
+            near[v] |= 1 << u
         if not self.arcs.isdisjoint(avoid):
             issues.append("uses an avoided arc")
         for v in d.vertices():
@@ -95,7 +101,9 @@ class EulerianSubdigraph:
                 issues.append(f"vertex {v} is unbalanced")
             if outs[v] == 0:
                 issues.append(f"vertex {v} is not covered")
-        if not issues and len(_weak_components(d.n, self.arcs)) > 1:
+        # every vertex is covered here, so one weak component means that
+        # vertex 0 reaches them all
+        if not issues and d.n and _closure(near, 0) != (1 << d.n) - 1:
             issues.append("arc set is not connected")
         return issues
 
@@ -465,10 +473,21 @@ def spanning_trail(
     """
     if not is_semicomplete(d):
         raise PreconditionError("spanning_trail requires a semicomplete digraph")
-    if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
-        raise PreconditionError("x and y must be distinct vertices")
+    _require_endpoints(d, x, y)
     if not is_strong(d):
         raise PreconditionError("spanning_trail requires a strong digraph")
+    return _spanning_trail(d, x, y, trace)
+
+
+def _require_endpoints(d: Digraph, x: int, y: int) -> None:
+    if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
+        raise PreconditionError("x and y must be distinct vertices")
+
+
+def _spanning_trail(d: Digraph, x: int, y: int, trace: list[str] | None = None) -> Trail:
+    """``spanning_trail`` for a d already known to be strong and
+    semicomplete; the endpoints and the two paths are still checked."""
+    _require_endpoints(d, x, y)
     if arc_connectivity(d) < 2:
         probe = arc_disjoint_paths(d, x, y, 2)
         if isinstance(probe, CutCertificate):

@@ -12,6 +12,7 @@ import random
 import pytest
 
 import eulertrail as et
+from eulertrail import cli
 from eulertrail.cli import main, run_conjecture_search
 from eulertrail.digraph import MAX_VERTICES
 from instances import complete, strong_backward_chain, t4, three_cycle
@@ -374,3 +375,75 @@ def test_conjecture_search_rejects_tiny_n(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "at least 5 vertices" in err
+
+
+def _random_payload(rng, depth=0):
+    """A nested JSON value of the shapes the subcommands print, plus the
+    corner cases of the pair path: bools in pairs and mixed-length lists."""
+    roll = rng.random()
+    if depth > 3 or roll < 0.3:
+        return rng.choice([0, -7, 42, True, False, None, "", 'say "hi"', "é☃\n\\", "arc"])
+    if roll < 0.45:
+        return [[rng.randint(-3, 120), rng.randint(0, 9)] for _ in range(rng.randint(0, 5))]
+    if roll < 0.55:
+        return [[rng.choice([True, False, 0, 1]), rng.randint(0, 3)] for _ in range(rng.randint(1, 3))]
+    if roll < 0.65:
+        return [[rng.randint(0, 9) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 3))]
+    if roll < 0.8:
+        return [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
+    keys = rng.sample(["n", "arcs", "witness", "é", 'q"', "b", "a b"], rng.randint(0, 4))
+    return {k: _random_payload(rng, depth + 1) for k in keys}
+
+
+def _emitted(payload, capsys) -> str:
+    cli._emit(payload)
+    return capsys.readouterr().out
+
+
+def test_emit_prints_what_json_dumps_prints(capsys):
+    rng = random.Random(11)
+    for _ in range(2000):
+        payload = _random_payload(rng)
+        assert _emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+    # one list object at two depths, and in a pair list next to a bool pair
+    shared = [[0, 1], [2, 3]]
+    for payload in (
+        {"rows": [{"witness": shared}], "witness": shared},
+        [shared, [shared], {"x": [[True, 0], [1, 2]]}],
+    ):
+        assert _emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
+
+
+def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeypatch):
+    payloads = []
+    emit = cli._emit
+    monkeypatch.setattr(cli, "_emit", lambda p: (payloads.append(p), emit(p)))
+    chain = _digraph_file(tmp_path, strong_backward_chain(9, random.Random(3)), "chain.json")
+    k4 = _digraph_file(tmp_path, complete(4), "k4.json")
+    cycle = _digraph_file(tmp_path, three_cycle(), "cycle.json")
+    exceptional = _digraph_file(tmp_path, et.gen_exceptional(False), "exc.json")
+    first = _write(tmp_path, "first.json", "[[0, 1]]")
+    corner = _write(tmp_path, "corner.json", "[[0, 3]]")
+    cases = [
+        (["analyze", chain], 0),
+        (["classify", chain, "--arc", "0", "1"], 0),
+        (["classify", chain, "--all"], 0),
+        (["classify", _digraph_file(tmp_path, t4(), "t4.json"), "--all"], 0),
+        (["trail", k4, "--from", "0", "--to", "3"], 0),
+        (["trail", cycle, "--from", "0", "--to", "1"], 2),
+        (["avoid", k4, "--arcs", first], 0),
+        (["avoid", cycle, "--arcs", first], 2),
+        (["avoid", exceptional, "--arcs", corner], 2),
+    ]
+    for argv, code in cases:
+        assert main(argv + ["--quiet"]) == code, argv
+        assert capsys.readouterr().out == (
+            json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+        ), argv
+    kinds = [p["obstruction"]["kind"] for p in payloads[-2:]]
+    assert kinds == ["cut", "partition"]
+    # the unknown answer, which no small input reaches
+    monkeypatch.setattr(cli, "spanning_eulerian_avoiding", lambda d, arcs: None)
+    assert main(["avoid", k4, "--quiet"]) == 3
+    assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+    assert payloads[-1] == {"certificate": None, "obstruction": None}

@@ -1,9 +1,11 @@
+from pathlib import Path
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.trails import _accepted_trail, arcs_to_trail, closed_tour
+from eulertrail.trails import _accepted_trail, _weak_components, arcs_to_trail, closed_tour
 from instances import complete, random_strong_semicomplete, three_cycle
 
 
@@ -47,6 +49,60 @@ def test_validate_eulerian_subdigraph_flags_defects() -> None:
     d4 = complete(4)
     split = et.EulerianSubdigraph(frozenset({(0, 1), (1, 0), (2, 3), (3, 2)}))
     assert any("connect" in i for i in split.check(d4))
+
+
+def test_eulerian_subdigraph_check_at_the_smallest_sizes() -> None:
+    empty = et.EulerianSubdigraph(frozenset())
+    assert empty.check(et.Digraph(0)) == []
+    assert empty.check(et.Digraph(1)) == ["vertex 0 is not covered"]
+    # ends outside 0..n-1 are reported, not read as other vertices
+    d = complete(3)
+    for arc in ((-1, 0), (0, -3), (3, 0)):
+        cycle = et.EulerianSubdigraph(frozenset({arc, (0, 1), (1, 2), (2, 0)}))
+        assert cycle.check(d) == [f"arc ({arc[0]},{arc[1]}) is not in the digraph"]
+
+
+def test_eulerian_subdigraph_check_finds_interleaved_components() -> None:
+    d = complete(5)
+    # covered and balanced; the part without vertex 0 holds 1 and 4
+    apart = frozenset({(1, 4), (4, 1), (0, 2), (2, 0), (3, 0), (0, 3)})
+    assert et.EulerianSubdigraph(apart).check(d) == ["arc set is not connected"]
+    joined = et.EulerianSubdigraph(apart | {(2, 4), (4, 2)})
+    assert joined.check(d) == []
+    split = et.EulerianSubdigraph(frozenset({(1, 4), (4, 3), (3, 1), (0, 2), (2, 0)}))
+    assert split.check(d) == ["arc set is not connected"]
+
+
+def test_eulerian_subdigraph_check_agrees_with_weak_components(monkeypatch) -> None:
+    """Every witness of one benchmark pass, alone, beside a disjoint copy
+    of itself, and joined to that copy by a 2-cycle."""
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.run import seeded_inputs
+
+    seen = 0
+    with seeded_inputs("classify-all", 1) as (_, instances, _):
+        for inst in instances:
+            d = et.Digraph(inst.n, inst.arcs)
+            try:
+                rows = et.classify_all(d)
+            except et.ConstructionError:
+                continue
+            n = d.n
+            copy = [(u + n, v + n) for u, v in inst.arcs]
+            double = et.Digraph(2 * n, list(inst.arcs) + copy + [(0, n), (n, 0)])
+            witnesses = {w for row in rows for w in (row[0].witness, row[1].avoidance_witness)}
+            for w in witnesses - {None}:
+                apart = w.arcs | {(u + n, v + n) for u, v in w.arcs}
+                for host, arcs, joined in (
+                    (d, w.arcs, True),
+                    (double, apart, False),
+                    (double, apart | {(0, n), (n, 0)}, True),
+                ):
+                    issues = et.EulerianSubdigraph(arcs).check(host)
+                    assert issues == ([] if joined else ["arc set is not connected"])
+                    assert (len(_weak_components(host.n, arcs)) == 1) == joined
+                    seen += 1
+    assert seen > 3000
 
 
 def test_eulerian_subdigraph_check_flags_an_avoided_arc() -> None:

@@ -7,10 +7,13 @@ generators and every package cache is cleared before each digraph, as in
 a benchmark pass; nothing under ``perfbench`` is changed.  Each answer is
 turned into canonical JSON (dataclasses by field, sets sorted, a raise as
 its type and message), and one sha256 per workload, over all the chosen
-seeds, goes to stdout.  Two trees that print the same lines gave the same
-answers, byte for byte; ``--out`` writes one JSON line per answer so that
-a difference can be located with ``diff``.  The verdict digests of
-``perfbench`` hash only verdict kinds, so they cannot show this.
+seeds, goes to stdout.  The classify-all and avoid-regimes workloads run
+the CLI, so their answers are its exit code and its stdout as printed,
+and their sums cover those bytes.  Two trees that print the same lines
+gave the same answers, byte for byte; ``--out`` writes one JSON line per
+answer so that a difference can be located with ``diff``.  The verdict
+digests of ``perfbench`` hash only verdict kinds, so they cannot show
+this.
 """
 
 from __future__ import annotations
