@@ -1,10 +1,14 @@
 """Exhaustive ground-truth searches over small digraphs.
 
-Everything here decides by brute force: a pruned depth-first search over
-arc subsets for spanning eulerian subdigraphs, trails and factors, plus
-generators sweeping every tournament or semicomplete digraph of a given
-small order.  These routines are the independent check against which the
-constructive modules are validated; they share no logic with them.
+Everything here decides by brute force: one pruned depth-first search
+over arc subsets for spanning eulerian subdigraphs, trails and factors,
+plus generators sweeping every tournament or semicomplete digraph of a
+given small order.  The search decides the arcs in a fixed order, keeps
+the chosen arcs as an undirected neighbour mask per vertex, and prunes
+only where no solution can lie, so the solutions it yields, and their
+order, depend on the digraph and the constraints alone.  These routines
+are the independent check against which the constructive modules are
+validated; they share no logic with them.
 
 Size guards keep the searches honest: inputs beyond the guard raise
 ``PreconditionError`` instead of running forever.  The vertex guard can be
@@ -49,27 +53,19 @@ def _check_size(d: Digraph) -> None:
 # ---- pruned subset search ----
 
 
-def _connected_covering(n: int, arcs: list[Arc]) -> bool:
-    """True iff the arcs touch every vertex and form one weak component."""
-    if n <= 1:
-        return True
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v in arcs:
-        adj[u].append(v)
-        adj[v].append(u)
-    if any(not a for a in adj):
-        return False
-    seen = [False] * n
-    seen[0] = True
-    stack = [0]
-    count = 1
-    while stack:
-        for w in adj[stack.pop()]:
-            if not seen[w]:
-                seen[w] = True
-                count += 1
-                stack.append(w)
-    return count == n
+def _seals_short(rows: list[int], start: int, still_open: int, full: int) -> bool:
+    """True iff the weak component of ``start`` along the undirected ``rows``
+    holds no vertex of ``still_open`` and yet misses some vertex of ``full``."""
+    comp = frontier = 1 << start
+    while frontier:
+        low = frontier & -frontier
+        frontier ^= low
+        new = rows[low.bit_length() - 1] & ~comp
+        if new & still_open:
+            return False
+        comp |= new
+        frontier |= new
+    return comp != full
 
 
 def _search(
@@ -86,6 +82,20 @@ def _search(
     A subset qualifies when every vertex v satisfies
     out(v) - in(v) == imbalance.get(v, 0), is touched by at least one arc,
     and (if ``connected``) the chosen arcs form a single weak component.
+
+    Arcs are decided in ``d.arcs()`` order, each taken before it is
+    skipped, so solutions come out in one fixed order.  Two prunes cut the
+    tree, and both are sound: the degree window (each end of the arc just
+    decided can still reach its balance, within its out-cap, with at least
+    one arc) and, if ``connected``, a sealed component (an end with no
+    undecided arcs left lies in a weak component of the chosen arcs whose
+    vertices are all decided, yet which misses a vertex).  The chosen arcs
+    are kept as one undirected neighbour mask per vertex.  At a leaf each
+    vertex passed the window when its last arc was decided and, if
+    ``connected``, the seal test on the last arc saw its component span
+    every vertex, so a leaf is a solution as soon as it is reached; a
+    vertex with no arcs at all can never be covered and empties the search
+    at the start.
     """
     n = d.n
     arcs = list(d.arcs())
@@ -93,85 +103,90 @@ def _search(
         return []
     if n <= 1:
         return [frozenset()]
-    rem_out = [d.out_degree(v) for v in range(n)]
-    rem_in = [d.in_degree(v) for v in range(n)]
-    out_used = [0] * n
-    in_used = [0] * n
-    imb = [imbalance.get(v, 0) for v in range(n)]
-    cap = [out_cap.get(v, n) if out_cap else n for v in range(n)]
-    chosen: list[Arc] = []
-    results: list[frozenset[Arc]] = []
-
-    def feasible(w: int) -> bool:
-        lo, hi = out_used[w], out_used[w] + rem_out[w]
-        hi = min(hi, cap[w])
-        li, hiI = in_used[w] + imb[w], in_used[w] + rem_in[w] + imb[w]
-        top = min(hi, hiI)
-        if top < max(lo, li):
-            return False
-        # coverage: some achievable (out, in) pair must touch the vertex
-        return max(top, top - imb[w]) >= 1
-
-    def closed_too_early(w: int) -> bool:
-        """w fully decided: prune if its weak component is sealed short of V."""
-        if rem_out[w] or rem_in[w]:
-            return False
-        comp = {w}
-        stack = [w]
-        adj: dict[int, set[int]] = {}
-        for a, b in chosen:
-            adj.setdefault(a, set()).add(b)
-            adj.setdefault(b, set()).add(a)
-        while stack:
-            v = stack.pop()
-            if rem_out[v] or rem_in[v]:
-                return False  # component still open
-            for u in adj.get(v, ()):
-                if u not in comp:
-                    comp.add(u)
-                    stack.append(u)
-        return len(comp) < n
-
-    def rec(i: int) -> bool:
-        if limit is not None and len(results) >= limit:
-            return True
-        if i == len(arcs):
-            if all(
-                out_used[v] == in_used[v] + imb[v] and out_used[v] + in_used[v] >= 1
-                for v in range(n)
-            ) and (not connected or _connected_covering(n, chosen)):
-                results.append(frozenset(chosen))
-                if limit is not None and len(results) >= limit:
-                    return True
-            return False
-        u, v = arcs[i]
-        rem_out[u] -= 1
-        rem_in[v] -= 1
-        arc = (u, v)
-        branches: tuple[bool, ...]
+    if limit is not None and limit <= 0:
+        return []
+    if any(not (d.out_mask(v) | d.in_mask(v)) for v in range(n)):
+        return []  # a vertex without arcs can never be covered
+    full = (1 << n) - 1
+    steps = []
+    still_open = 0  # vertices with an arc after the current one
+    for arc in reversed(arcs):
+        u, v = arc
         if arc in must_contain:
-            branches = (True,)
+            branches: tuple[bool, ...] = (True,)
         elif arc in must_avoid:
             branches = (False,)
         else:
             branches = (True, False)
+        seal_u = connected and not still_open >> u & 1
+        seal_v = connected and not still_open >> v & 1
+        steps.append((arc, u, v, 1 << u, 1 << v, branches, seal_u, seal_v, still_open))
+        still_open |= 1 << u | 1 << v
+    steps.reverse()
+    rem_out = [d.out_degree(v) for v in range(n)]
+    rem_in = [d.in_degree(v) for v in range(n)]
+    out_used = [0] * n
+    # departures the arrivals so far call for: arcs in plus the surplus
+    out_due = [imbalance.get(v, 0) for v in range(n)]
+    # the fewest departures that cover the vertex (none if it owes arrivals)
+    least = [min(1, 1 + k) for k in out_due]
+    cap = [out_cap.get(v, n) if out_cap else n for v in range(n)]
+    rows = [0] * n  # undirected neighbours along the chosen arcs
+    chosen: list[Arc] = []
+    results: list[frozenset[Arc]] = []
+    m = len(arcs)
+
+    def rec(i: int) -> bool:
+        if i == m:
+            results.append(frozenset(chosen))
+            return limit is not None and len(results) >= limit
+        arc, u, v, bu, bv, branches, seal_u, seal_v, still_open = steps[i]
+        rem_out[u] -= 1
+        rem_in[v] -= 1
         stop = False
         for take in branches:
             if take:
                 if out_used[u] >= cap[u]:
                     continue
                 out_used[u] += 1
-                in_used[v] += 1
+                out_due[v] += 1
+                fresh = not rows[u] & bv  # (v,u) may already join them
+                if fresh:
+                    rows[u] |= bv
+                    rows[v] |= bu
                 chosen.append(arc)
-            ok = feasible(u) and feasible(v)
-            if ok and connected and (closed_too_early(u) or closed_too_early(v)):
+            # the degree window at u, then at v: the most departures still
+            # possible, top, must reach those made, those due and the least
+            out = out_used[u]
+            due = out_due[u]
+            top = out + rem_out[u]
+            if top > due + rem_in[u]:
+                top = due + rem_in[u]
+            if top > cap[u]:
+                top = cap[u]
+            ok = top >= out and top >= due and top >= least[u]
+            if ok:
+                out = out_used[v]
+                due = out_due[v]
+                top = out + rem_out[v]
+                if top > due + rem_in[v]:
+                    top = due + rem_in[v]
+                if top > cap[v]:
+                    top = cap[v]
+                ok = top >= out and top >= due and top >= least[v]
+            if ok and seal_u and _seals_short(rows, u, still_open, full):
+                ok = False
+            if ok and seal_v and _seals_short(rows, v, still_open, full):
                 ok = False
             if ok and rec(i + 1):
                 stop = True
             if take:
                 chosen.pop()
                 out_used[u] -= 1
-                in_used[v] -= 1
+                out_due[v] -= 1
+                if fresh:
+                    rows[u] ^= bv
+                    rows[v] ^= bu
             if stop:
                 break
         rem_out[u] += 1
@@ -191,14 +206,18 @@ def enumerate_spanning_eulerian(
     """All spanning eulerian subdigraphs honoring the constraints (up to limit).
 
     A spanning eulerian subdigraph is a connected spanning subdigraph with
-    in-degree equal to out-degree at every vertex.  Raises on inputs beyond
-    the oracle size guard.
+    in-degree equal to out-degree at every vertex.  An arc both to contain
+    and to avoid leaves nothing to find.  Raises on inputs beyond the
+    oracle size guard.
     """
     _check_size(d)
+    must_contain, must_avoid = frozenset(must_contain), frozenset(must_avoid)
+    if must_contain & must_avoid:
+        return []  # no subdigraph both contains and avoids an arc
     return _search(
         d,
-        frozenset(must_contain),
-        frozenset(must_avoid),
+        must_contain,
+        must_avoid,
         {},
         None,
         limit,
@@ -259,39 +278,19 @@ _ALL_SES_CACHE: dict[tuple[int, tuple[Arc, ...]], tuple[frozenset[Arc], ...]] = 
 
 
 def all_spanning_eulerian(d: Digraph) -> tuple[frozenset[Arc], ...]:
-    """Every spanning eulerian subdigraph of d, memoized per digraph.
-
-    Small arc counts go through a straight bitmask sweep; anything larger
-    falls back to the pruned search.
-    """
+    """Every spanning eulerian subdigraph of d, memoized per digraph, in
+    increasing order of the mask of their arc indices in ``d.arcs()``."""
     key = (d.n, tuple(d.arcs()))
     hit = _ALL_SES_CACHE.get(key)
     if hit is not None:
         return hit
-    arcs = list(d.arcs())
-    m = len(arcs)
-    out = None
-    if m <= 14:
-        out_bits = [0] * d.n
-        in_bits = [0] * d.n
-        for i, (u, v) in enumerate(arcs):
-            out_bits[u] |= 1 << i
-            in_bits[v] |= 1 << i
-        found = []
-        for mask in range(1, 1 << m):
-            ok = True
-            for v in range(d.n):
-                o = (mask & out_bits[v]).bit_count()
-                if o != (mask & in_bits[v]).bit_count() or o == 0:
-                    ok = False
-                    break
-            if ok:
-                sub = [arcs[i] for i in range(m) if mask >> i & 1]
-                if _connected_covering(d.n, sub):
-                    found.append(frozenset(sub))
-        out = tuple(found)
-    else:
-        out = tuple(enumerate_spanning_eulerian(d))
+    index = {arc: i for i, arc in enumerate(key[1])}
+    out = tuple(
+        sorted(
+            enumerate_spanning_eulerian(d),
+            key=lambda sub: sum(1 << index[arc] for arc in sub),
+        )
+    )
     _ALL_SES_CACHE[key] = out
     return out
 

@@ -1,9 +1,12 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
 from eulertrail.oracle import (
+    _search,
     all_spanning_eulerian,
     enumerate_all_semicomplete,
     enumerate_all_tournaments,
@@ -59,6 +62,18 @@ def test_spanning_eulerian_exists() -> None:
     assert spanning_eulerian_exists(three_cycle())
     assert not spanning_eulerian_exists(three_cycle(), must_avoid={(0, 1)})
     assert not spanning_eulerian_exists(et.gen_d3(), must_contain={(2, 1)})
+
+
+def test_contradictory_constraints_have_no_subdigraph() -> None:
+    d = complete(3)
+    both = {(0, 1)}
+    assert enumerate_spanning_eulerian(d, must_contain=both, must_avoid=both, limit=1) == []
+    assert enumerate_spanning_eulerian(d, must_contain=both, must_avoid=both) == []
+    assert not spanning_eulerian_exists(d, must_contain=both, must_avoid=both)
+    # one shared arc is enough, whatever else either set holds
+    assert not spanning_eulerian_exists(
+        d, must_contain={(1, 2), (0, 1)}, must_avoid={(0, 1), (2, 0)}
+    )
 
 
 def test_find_trail_oracle_frozen_cases() -> None:
@@ -133,3 +148,174 @@ def test_enumerated_subdigraphs_are_valid(n: int, seed: int) -> None:
     d = random_strong_semicomplete(n, seed)
     for arcs in all_spanning_eulerian(d):
         assert et.EulerianSubdigraph(arcs).check(d) == []
+
+
+def _reference_connected_covering(n, arcs):
+    """True iff the arcs touch every vertex and form one weak component."""
+    if n <= 1:
+        return True
+    adj = [[] for _ in range(n)]
+    for u, v in arcs:
+        adj[u].append(v)
+        adj[v].append(u)
+    if any(not a for a in adj):
+        return False
+    seen = [False] * n
+    seen[0] = True
+    stack = [0]
+    count = 1
+    while stack:
+        for w in adj[stack.pop()]:
+            if not seen[w]:
+                seen[w] = True
+                count += 1
+                stack.append(w)
+    return count == n
+
+
+def _reference_search(d, must_contain, must_avoid, imbalance, out_cap, limit, connected):
+    """The subset search as it was before it kept its state in bitmask
+    rows: the degree window in a helper, and the seal test rebuilding an
+    adjacency dict from the chosen arcs at every node."""
+    n = d.n
+    arcs = list(d.arcs())
+    if any(not d.has_arc(u, v) for u, v in must_contain):
+        return []
+    if n <= 1:
+        return [frozenset()]
+    rem_out = [d.out_degree(v) for v in range(n)]
+    rem_in = [d.in_degree(v) for v in range(n)]
+    out_used = [0] * n
+    in_used = [0] * n
+    imb = [imbalance.get(v, 0) for v in range(n)]
+    cap = [out_cap.get(v, n) if out_cap else n for v in range(n)]
+    chosen = []
+    results = []
+
+    def feasible(w):
+        lo, hi = out_used[w], out_used[w] + rem_out[w]
+        hi = min(hi, cap[w])
+        li, hi_in = in_used[w] + imb[w], in_used[w] + rem_in[w] + imb[w]
+        top = min(hi, hi_in)
+        if top < max(lo, li):
+            return False
+        return max(top, top - imb[w]) >= 1
+
+    def closed_too_early(w):
+        if rem_out[w] or rem_in[w]:
+            return False
+        comp = {w}
+        stack = [w]
+        adj = {}
+        for a, b in chosen:
+            adj.setdefault(a, set()).add(b)
+            adj.setdefault(b, set()).add(a)
+        while stack:
+            v = stack.pop()
+            if rem_out[v] or rem_in[v]:
+                return False
+            for u in adj.get(v, ()):
+                if u not in comp:
+                    comp.add(u)
+                    stack.append(u)
+        return len(comp) < n
+
+    def rec(i):
+        if limit is not None and len(results) >= limit:
+            return True
+        if i == len(arcs):
+            if all(
+                out_used[v] == in_used[v] + imb[v] and out_used[v] + in_used[v] >= 1
+                for v in range(n)
+            ) and (not connected or _reference_connected_covering(n, chosen)):
+                results.append(frozenset(chosen))
+                if limit is not None and len(results) >= limit:
+                    return True
+            return False
+        u, v = arcs[i]
+        rem_out[u] -= 1
+        rem_in[v] -= 1
+        arc = (u, v)
+        if arc in must_contain:
+            branches = (True,)
+        elif arc in must_avoid:
+            branches = (False,)
+        else:
+            branches = (True, False)
+        stop = False
+        for take in branches:
+            if take:
+                if out_used[u] >= cap[u]:
+                    continue
+                out_used[u] += 1
+                in_used[v] += 1
+                chosen.append(arc)
+            ok = feasible(u) and feasible(v)
+            if ok and connected and (closed_too_early(u) or closed_too_early(v)):
+                ok = False
+            if ok and rec(i + 1):
+                stop = True
+            if take:
+                chosen.pop()
+                out_used[u] -= 1
+                in_used[v] -= 1
+            if stop:
+                break
+        rem_out[u] += 1
+        rem_in[v] += 1
+        return stop
+
+    rec(0)
+    return results
+
+
+def _search_cases():
+    """Search arguments over the exhaustive pool and over seeded random
+    digraphs with n <= 7, semicomplete ones and sparse ones: every limit,
+    with and without connectivity, with a trail's imbalance and out-caps,
+    and with arcs to contain and to avoid.  Sweeps without a limit stay on
+    digraphs with at most 16 arcs."""
+    pool = [d for d in enumerate_all_semicomplete(4) if et.is_strong(d)]
+    pool += [d for d in enumerate_all_tournaments(5) if et.is_strong(d)]
+    rng = random.Random("oracle-search")
+    digraphs = pool + [None] * 1500
+    for d in digraphs:
+        if d is None:
+            n = rng.randint(2, 7)
+            if rng.random() < 0.5:
+                d = et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30))
+            else:
+                p = rng.uniform(0.2, 0.8)
+                d = et.Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                                   if u != v and rng.random() < p])
+        arcs = list(d.arcs())
+        limit = rng.choice((None, 1, 2) if d.m <= 16 else (1, 2))
+        connected = rng.random() < 0.5
+        imbalance, out_cap, contain, avoid = {}, None, frozenset(), frozenset()
+        kind = rng.randrange(4)
+        if kind == 1:
+            x, y = rng.sample(range(d.n), 2)
+            imbalance = {x: 1, y: -1}
+            if rng.random() < 0.5:
+                out_cap = {v: rng.randint(1, 2) for v in range(d.n)}
+        elif kind >= 2 and arcs:
+            picked = rng.sample(arcs, min(len(arcs), rng.randint(1, 4)))
+            cut = rng.randint(0, len(picked)) if kind == 3 else len(picked)
+            contain, avoid = frozenset(picked[:cut]), frozenset(picked[cut:])
+        yield d, contain, avoid, imbalance, out_cap, limit, connected
+
+
+def test_oracle_search_matches_the_reference_search() -> None:
+    seen = {"limit": set(), "connected": set(), "found": 0, "empty": 0, "several": 0}
+    for d, contain, avoid, imbalance, out_cap, limit, connected in _search_cases():
+        args = (d, contain, avoid, imbalance, out_cap, limit, connected)
+        got = _search(*args)
+        assert got == _reference_search(*args), (sorted(d.arcs()), args[1:])
+        seen["limit"].add(limit)
+        seen["connected"].add(connected)
+        seen["found"] += bool(got)
+        seen["empty"] += not got
+        seen["several"] += len(got) > 1
+    assert seen["limit"] == {None, 1, 2} and seen["connected"] == {True, False}
+    # the cases find solutions, find none, and find several in order
+    assert seen["found"] > 500 and seen["empty"] > 300 and seen["several"] > 300
