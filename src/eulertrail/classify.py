@@ -39,7 +39,7 @@ from .decomposition import (
 )
 from .digraph import Arc, Digraph, _mask_of, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
-from .factor import ObstructionPartition, merge_all, spanning_eulerian_avoiding
+from .factor import ObstructionPartition, _merge, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
 from .hamilton import _component_path, _path_between
 from .trails import EulerianSubdigraph, _spanning_trail
@@ -196,8 +196,7 @@ def _forced_flow_witness(
     candidate = frozenset(forced.union(picked))
     if not EulerianSubdigraph(candidate).check(d):
         return candidate
-    merged = merge_all(d, candidate, protected=frozenset(forced))
-    return merged
+    return _merge(d, candidate, frozenset(forced))
 
 
 def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:

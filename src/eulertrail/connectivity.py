@@ -239,8 +239,8 @@ def _max_flow(
 
     Returns (value, flow rows, residual-reachable mask from s); bit v of
     row u is set iff arc (u,v) carries flow.  Stops once the value reaches
-    ``limit``; the mask is only a true min-cut side when the limit was not
-    the stopping reason.  With ``warm`` the flow starts from the direct
+    ``limit``, and then returns the mask 0: no caller reads a cut side
+    unless the value fell below the limit.  With ``warm`` the flow starts from the direct
     arc s->t and the paths s->w->t in ascending w, at most ``limit`` units
     in all, before the search augments; the value and, after a maximum
     flow, the mask are the same as without it, the flow rows may not be.
@@ -297,8 +297,7 @@ def _max_flow(
                 back[v] |= 1 << u
             v = u
         value += 1
-    residual = [(out[v] & ~fwd[v]) | back[v] for v in range(d.n)]
-    return value, fwd, _closure(residual, s)
+    return value, fwd, 0
 
 
 def _certificate_from_mask(d: Digraph, reached: int) -> CutCertificate:

@@ -9,6 +9,12 @@ inequality certifies the absence.  The merge engine then welds factor
 components together into one, and ``spanning_eulerian_avoiding`` wires
 the pieces into the full decision procedure for prescribed forbidden
 arc sets.
+
+Avoided arcs are removed once, where a public function is called:
+``eulerian_factor`` and ``merge_all`` vet them and pass
+``d.remove_arcs(avoid)`` on, and ``spanning_eulerian_avoiding`` builds
+that digraph as ``rest``.  Every internal works on the one digraph it is
+given, whose arcs are exactly the allowed ones.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from .connectivity import (
     arc_connectivity_certificate,
     is_strong,
 )
-from .digraph import Arc, Digraph, require_arcs
+from .digraph import Arc, Digraph, _mask_bits, _mask_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
 from .trails import EulerianSubdigraph, _weak_components, closed_tour
@@ -122,59 +128,45 @@ def eulerian_factor(
     blocking cut is refined into an ObstructionPartition and verified
     before being returned.
     """
-    avoid = frozenset(avoid)
     require_arcs(d, avoid, "avoided arc")
-    picked, entry, exit_ = _factor_arcs(d.n, [a for a in d.arcs() if a not in avoid])
+    return _factor(d.remove_arcs(avoid))
+
+
+def _factor(d: Digraph) -> EulerianFactor | ObstructionPartition:
+    picked, entry, exit_ = _factor_arcs(d.n, list(d.arcs()))
     if picked is not None:
         arcs = frozenset(picked)
         return EulerianFactor(arcs, tuple(_weak_components(d.n, arcs)))
-    return _refine_obstruction(d, avoid, entry, exit_)
+    return _refine_obstruction(d, entry, exit_)
 
 
 def _refine_obstruction(
-    d: Digraph, avoid: ArcSet, entry: frozenset[int], exit_: frozenset[int]
+    d: Digraph, entry: frozenset[int], exit_: frozenset[int]
 ) -> ObstructionPartition:
-    y_side: set[int] = set()
-    r2: set[int] = set()
-    r1: set[int] = set()
-    for v in range(d.n):
-        in_r = v in entry
-        out_r = v in exit_
-        if out_r and not in_r:
-            y_side.add(v)
-        elif not out_r and not in_r:
-            r1.add(v)
-        else:
-            r2.add(v)
+    """Shrink the middle part of the blocking cut until its three
+    defining conditions hold; every move also removes at least one arc
+    from the deficiency count, so the strict inequality survives.
 
-    def allowed(u: int, v: int) -> bool:
-        return d.has_arc(u, v) and (u, v) not in avoid
-
-    # shrink the middle part until its three defining conditions hold;
-    # every move also removes at least one arc from the deficiency count,
-    # so the strict inequality survives
-    moved = True
-    while moved:
-        moved = False
-        for y in sorted(y_side):
-            if any(allowed(u, y) for u in r2) or any(
-                allowed(u, y) for u in y_side if u != y
-            ):
-                y_side.discard(y)
-                r2.add(y)
-                moved = True
-                break
-    moved = True
-    while moved:
-        moved = False
-        for y in sorted(y_side):
-            if any(allowed(y, w) for w in r1):
-                y_side.discard(y)
-                r1.add(y)
-                moved = True
-                break
-    result = ObstructionPartition(frozenset(r1), frozenset(r2), frozenset(y_side))
-    bad = result.check(d, avoid)
+    A vertex leaves the middle part for r2 when an arc enters it from r2
+    or the middle part, whose union these moves keep fixed, and then for
+    r1 when an arc leaves it into r1, which the now independent middle
+    part cannot feed; so one ascending pass of each settles it.
+    """
+    ins, out = d._in, d._out  # noqa: SLF001 - package-internal
+    r2 = _mask_of(entry)
+    y_side = _mask_of(exit_) & ~r2
+    r1 = ((1 << d.n) - 1) & ~r2 & ~y_side
+    feeds = r2 | y_side
+    for y in _mask_bits(y_side):
+        if ins[y] & feeds:
+            y_side ^= 1 << y
+            r2 |= 1 << y
+    for y in _mask_bits(y_side):
+        if out[y] & r1:
+            y_side ^= 1 << y
+            r1 |= 1 << y
+    result = ObstructionPartition(*(frozenset(_mask_bits(m)) for m in (r1, r2, y_side)))
+    bad = result.check(d)
     if bad:
         raise ConstructionError(f"obstruction refinement failed: {bad}")
     return result
@@ -206,31 +198,19 @@ def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
 # ---- merging factor components ----
 
 
-def _allowed_add(d: Digraph, avoid: ArcSet, current: set[Arc], u: int, v: int) -> bool:
-    return d.has_arc(u, v) and (u, v) not in avoid and (u, v) not in current
-
-
-def _cross_cycle(
-    d: Digraph, avoid: ArcSet, comp_of: dict[int, int]
-) -> list[Arc] | None:
-    """A vertex cycle of allowed arcs that all run between distinct
-    components: the shortest one through the smallest vertex that lies on
-    such a cycle.
+def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] | None:
+    """A vertex cycle of arcs that all run between distinct components:
+    the shortest one through the smallest vertex that lies on such a
+    cycle.
 
     Each vertex gets one bitmask row, its out-row minus its own component
-    (which holds every current arc out of it) and minus the avoided arcs.
-    Breadth-first search then runs from each vertex s in ascending order,
-    trying heads in ascending order, until a row leads back to s.
+    (which holds every current arc out of it).  Breadth-first search then
+    runs from each vertex s in ascending order, trying heads in ascending
+    order, until a row leads back to s.
     """
     n = d.n
-    comp_mask: dict[int, int] = {}
-    for v, i in comp_of.items():
-        comp_mask[i] = comp_mask.get(i, 0) | 1 << v
     out = d._out  # noqa: SLF001 - package-internal
-    rows = [out[u] & ~comp_mask[comp_of[u]] for u in range(n)]
-    for u, v in avoid:
-        if 0 <= u < n and 0 <= v < n:  # merge_all does not vet avoid
-            rows[u] &= ~(1 << v)
+    rows = [out[u] & ~comps[comp_of[u]] for u in range(n)]
     parent = [-1] * n
     for s in range(n):
         if not rows[s]:
@@ -259,71 +239,58 @@ def _cross_cycle(
     return None
 
 
-def _group_arcs(
-    current: set[Arc], comp_of: dict[int, int], count: int
-) -> list[list[Arc]]:
-    grouped: list[list[Arc]] = [[] for _ in range(count)]
-    for a in sorted(current):
-        grouped[comp_of[a[0]]].append(a)
-    return grouped
-
-
 def _next_move(
-    d: Digraph,
-    avoid: ArcSet,
-    current: set[Arc],
-    comps: list[frozenset[int]],
-    comp_of: dict[int, int],
-    protected: ArcSet,
+    d: Digraph, current: set[Arc], comps: list[int], protected: ArcSet
 ) -> MergeOption | None:
     """The first applicable move, or None.
 
-    Every insert, swap and reroute candidate merges exactly two
-    components, so only its protected arcs can rule it out.  Removing one
-    arc from a closed component leaves an open trail through all of its
-    vertices, and the two added arcs join that trail to the other
-    component; a reroute bypasses only one of y's two or more visits, so
-    y stays on its component's trail.
+    Every insert, swap and reroute candidate arc joins two components
+    while every current arc lies inside one, so any arc of d may be
+    added, and only its protected arcs can rule a candidate out.
+    Removing one arc from a closed component leaves an open trail through
+    all of its vertices, and the two added arcs join that trail to the
+    other component; a reroute bypasses only one of y's two or more
+    visits, so y stays on its component's trail.
     """
     before = len(comps)
-    cyc = _cross_cycle(d, avoid, comp_of)
+    comp_of = [0] * d.n
+    for i, c in enumerate(comps):
+        for v in _mask_bits(c):
+            comp_of[v] = i
+    cyc = _cross_cycle(d, comps, comp_of)
     if cyc is not None:
         # every arc of the cycle joins two distinct components and nothing
         # is removed, so the count drops and no protected arc is touched
         return MergeOption("cycle", frozenset(cyc), frozenset())
-    grouped = _group_arcs(current, comp_of, before)
+    out, ins = d._out, d._in  # noqa: SLF001 - package-internal
+    grouped: list[list[Arc]] = [[] for _ in comps]
+    for a in sorted(current):
+        grouped[comp_of[a[0]]].append(a)
     for i in range(before):
         for j in range(before):
             if i == j:
                 continue
             for u, v in grouped[i]:
-                if (u, v) in protected:
-                    continue
-                for w in sorted(comps[j]):
-                    if _allowed_add(d, avoid, current, u, w) and _allowed_add(
-                        d, avoid, current, w, v
-                    ):
-                        return MergeOption(
-                            "insert", frozenset(((u, w), (w, v))), frozenset(((u, v),))
-                        )
+                via = out[u] & ins[v] & comps[j]
+                if via and (u, v) not in protected:
+                    w = next(_mask_bits(via))
+                    return MergeOption(
+                        "insert", frozenset(((u, w), (w, v))), frozenset(((u, v),))
+                    )
     for i in range(before):
         for j in range(i + 1, before):
             for u, v in grouped[i]:
                 if (u, v) in protected:
                     continue
                 for w, z in grouped[j]:
-                    if (
-                        (w, z) not in protected
-                        and _allowed_add(d, avoid, current, u, z)
-                        and _allowed_add(d, avoid, current, w, v)
-                    ):
+                    if out[u] >> z & 1 and out[w] >> v & 1 and (w, z) not in protected:
                         return MergeOption(
                             "swap",
                             frozenset(((u, z), (w, v))),
                             frozenset(((u, v), (w, z))),
                         )
     for j in range(before):
-        tour = closed_tour(grouped[j], min(comps[j]))
+        tour = closed_tour(grouped[j], next(_mask_bits(comps[j])))
         k = len(tour)
         visits: dict[int, int] = {}
         for v in tour:
@@ -334,18 +301,14 @@ def _next_move(
             if visits[y] < 2 or (p, y) in protected or (y, s) in protected:
                 continue
             for i in range(before):
-                if i == j:
-                    continue
-                for x in sorted(comps[i]):
-                    if (
-                        _allowed_add(d, avoid, current, p, x)
-                        and _allowed_add(d, avoid, current, x, s)
-                    ):
-                        return MergeOption(
-                            "reroute",
-                            frozenset(((p, x), (x, s))),
-                            frozenset(((p, y), (y, s))),
-                        )
+                via = out[p] & ins[s] & comps[i]
+                if via and i != j:
+                    x = next(_mask_bits(via))
+                    return MergeOption(
+                        "reroute",
+                        frozenset(((p, x), (x, s))),
+                        frozenset(((p, y), (y, s))),
+                    )
     return None
 
 
@@ -363,14 +326,17 @@ def merge_all(
     components, so the count strictly drops, and protected arcs are never
     removed.
     """
-    avoid = frozenset(avoid)
-    current = set(factor_arcs)
+    require_arcs(d, avoid, "avoided arc")
+    return _merge(d.remove_arcs(avoid), factor_arcs, protected)
+
+
+def _merge(d: Digraph, arcs: ArcSet | set[Arc], protected: ArcSet) -> ArcSet | None:
+    current = set(arcs)
     for _ in range(d.n + 2):
-        comps = _weak_components(d.n, current)
+        comps = [_mask_of(c) for c in _weak_components(d.n, current)]
         if len(comps) <= 1:
             return frozenset(current)
-        comp_of = {v: i for i, c in enumerate(comps) for v in c}
-        move = _next_move(d, avoid, current, comps, comp_of, protected)
+        move = _next_move(d, current, comps, protected)
         if move is None:
             return None
         current -= move.remove_arcs
@@ -400,27 +366,26 @@ def is_semicomplete_multipartite(d: Digraph) -> bool:
 
 
 def _factor_then_merge(
-    d: Digraph, forbidden: ArcSet, trace: list[str] | None
+    d: Digraph, trace: list[str] | None
 ) -> EulerianSubdigraph | ObstructionPartition | None:
-    """Decide a spanning eulerian subdigraph of d avoiding the forbidden
-    arcs via factor + merge.
+    """Decide a spanning eulerian subdigraph of d via factor + merge.
 
     When the merge gets stuck, factors found from shuffled orders of the
-    allowed arcs get another try.  A factor exists whatever the order, so
-    each shuffle yields one.
+    arcs get another try.  A factor exists whatever the order, so each
+    shuffle yields one.
     """
-    fac = eulerian_factor(d, forbidden)
+    fac = _factor(d)
     if isinstance(fac, ObstructionPartition):
         return fac
-    merged = merge_all(d, fac.arcs, forbidden)
+    merged = _merge(d, fac.arcs, frozenset())
     if merged is not None:
         return EulerianSubdigraph(merged)
-    allowed = [a for a in d.arcs() if a not in forbidden]
+    arcs = list(d.arcs())
     for seed in range(1, 7):
-        pool = allowed[:]
+        pool = arcs[:]
         random.Random(seed).shuffle(pool)
         picked, _, _ = _factor_arcs(d.n, pool)
-        merged = merge_all(d, frozenset(picked), forbidden)
+        merged = _merge(d, picked, frozenset())
         if merged is not None:
             if trace is not None:
                 trace.append("merge-retry")
@@ -445,7 +410,7 @@ def spanning_eulerian_avoiding(
     with high arc-connectivity relative to the number of forbidden arcs,
     the arcs inside each forbidden cluster are discarded wholesale, which
     also lands in the multipartite case; otherwise factor plus merge runs
-    on the full digraph.  Every route retries a stuck merge on perturbed
+    on all the allowed arcs.  Every route retries a stuck merge on perturbed
     factors, and on small inputs an exhaustive search has the last word.
     """
     forbidden = frozenset(forbidden)
@@ -480,12 +445,12 @@ def spanning_eulerian_avoiding(
             if is_strong(dstar) and is_semicomplete_multipartite(dstar):
                 if trace is not None:
                     trace.append("multipartite-reduction")
-                got = _factor_then_merge(dstar, frozenset(), trace)
+                got = _factor_then_merge(dstar, trace)
                 if isinstance(got, EulerianSubdigraph):
                     return got
         if trace is not None:
             trace.append("factor-merge")
-    got = _factor_then_merge(d, forbidden, trace)
+    got = _factor_then_merge(rest, trace)
     if got is not None:
         return got
     try:

@@ -80,7 +80,9 @@ class EulerianSubdigraph:
 
     def check(self, d: Digraph, avoid: frozenset[Arc] = frozenset()) -> list[str]:
         """Violation report for a claimed spanning eulerian subdigraph of d
-        whose ``avoid`` arcs count as absent; empty means valid."""
+        whose ``avoid`` arcs count as absent; empty means valid.  A lone
+        vertex is connected and balanced, so with n <= 1 the empty arc set
+        is eulerian; from two vertices on every vertex must be covered."""
         issues: list[str] = []
         outs = [0] * d.n
         ins = [0] * d.n
@@ -99,7 +101,7 @@ class EulerianSubdigraph:
         for v in d.vertices():
             if outs[v] != ins[v]:
                 issues.append(f"vertex {v} is unbalanced")
-            if outs[v] == 0:
+            if outs[v] == 0 and d.n >= 2:
                 issues.append(f"vertex {v} is not covered")
         # every vertex is covered here, so one weak component means that
         # vertex 0 reaches them all

@@ -270,6 +270,17 @@ def test_avoid_without_forbidden_arcs(tmp_path, capsys):
     assert json.loads(out)["certificate"] == [[0, 1], [1, 2], [2, 0]]
 
 
+@pytest.mark.parametrize("n", [0, 1])
+def test_avoid_on_the_smallest_digraphs(tmp_path, capsys, n):
+    # the empty arc set is the spanning eulerian subdigraph of a digraph
+    # with at most one vertex
+    path = _write(tmp_path, "d.json", f'{{"n":{n},"arcs":[]}}')
+    code = main(["avoid", path])
+    out, _ = capsys.readouterr()
+    assert code == 0
+    assert json.loads(out) == {"certificate": [], "obstruction": None}
+
+
 def test_arc_file_must_be_a_list_of_pairs(tmp_path, capsys):
     path = _digraph_file(tmp_path, three_cycle())
     arcs = _write(tmp_path, "avoid.json", '{"oops": 1}')

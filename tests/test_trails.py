@@ -54,7 +54,11 @@ def test_validate_eulerian_subdigraph_flags_defects() -> None:
 def test_eulerian_subdigraph_check_at_the_smallest_sizes() -> None:
     empty = et.EulerianSubdigraph(frozenset())
     assert empty.check(et.Digraph(0)) == []
-    assert empty.check(et.Digraph(1)) == ["vertex 0 is not covered"]
+    assert empty.check(et.Digraph(1)) == []  # a lone vertex is eulerian
+    assert empty.check(et.Digraph(2)) == ["vertex 0 is not covered", "vertex 1 is not covered"]
+    assert empty.check(et.Digraph(2, [(0, 1), (1, 0)])) == [
+        "vertex 0 is not covered", "vertex 1 is not covered"
+    ]
     # ends outside 0..n-1 are reported, not read as other vertices
     d = complete(3)
     for arc in ((-1, 0), (0, -3), (3, 0)):
