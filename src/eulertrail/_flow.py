@@ -1,97 +1,14 @@
-"""Generic network-flow kernels.
+"""The split-node circulation that every factor and completion is solved with.
 
-Plain Edmonds-Karp augmentation over explicit edge lists, used on the
-split-node networks of ``degree_bounded_subgraph``.
+``degree_bounded_subgraph`` keeps its flow as bitmask rows and augments
+one unit per breadth-first search, in the idiom of
+``connectivity._max_flow``.
 """
 
 from __future__ import annotations
 
-
-def max_flow(
-    n: int, edges: list[tuple[int, int, int]], s: int, t: int
-) -> tuple[int, list[int], frozenset[int]]:
-    """Max flow on a small-capacity network.
-
-    ``edges`` holds (tail, head, capacity).  Returns the flow value, a
-    per-edge flow list in input order, and the set of nodes reachable
-    from s in the final residual network (the source side of a min cut).
-    """
-    cap: list[int] = []
-    to: list[int] = []
-    adj: list[list[int]] = [[] for _ in range(n)]
-    for u, v, c in edges:
-        adj[u].append(len(cap))
-        to.append(v)
-        cap.append(c)
-        adj[v].append(len(cap))
-        to.append(u)
-        cap.append(0)
-    value = 0
-    while True:
-        prev_edge = [-1] * n
-        prev_edge[s] = -2
-        queue = [s]
-        while queue and prev_edge[t] == -1:
-            nxt: list[int] = []
-            for v in queue:
-                for e in adj[v]:
-                    w = to[e]
-                    if cap[e] > 0 and prev_edge[w] == -1:
-                        prev_edge[w] = e
-                        if w == t:
-                            break
-                        nxt.append(w)
-                if prev_edge[t] != -1:
-                    break
-            queue = nxt
-        if prev_edge[t] == -1:
-            reached = frozenset(v for v in range(n) if prev_edge[v] != -1) | {s}
-            return value, [cap[2 * i + 1] for i in range(len(edges))], reached
-        bottleneck = None
-        v = t
-        while v != s:
-            e = prev_edge[v]
-            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
-            v = to[e ^ 1]
-        v = t
-        while v != s:
-            e = prev_edge[v]
-            cap[e] -= bottleneck
-            cap[e ^ 1] += bottleneck
-            v = to[e ^ 1]
-        value += bottleneck
-
-
-def circulation_with_cut(
-    n: int, edges: list[tuple[int, int, int, int]]
-) -> tuple[list[int] | None, frozenset[int]]:
-    """Circulation meeting per-edge [lower, upper] bounds.
-
-    ``edges`` holds (tail, head, lower, upper).  On success returns the
-    per-edge flows and an empty set; on failure returns None plus the
-    nodes (among 0..n-1) on the source side of the certifying cut in the
-    lower-bound reduction.
-    """
-    excess = [0] * n
-    reduced: list[tuple[int, int, int]] = []
-    for u, v, lo, hi in edges:
-        if lo > hi:
-            return None, frozenset(range(n))
-        reduced.append((u, v, hi - lo))
-        excess[v] += lo
-        excess[u] -= lo
-    s, t = n, n + 1
-    need = 0
-    for v in range(n):
-        if excess[v] > 0:
-            reduced.append((s, v, excess[v]))
-            need += excess[v]
-        elif excess[v] < 0:
-            reduced.append((v, t, -excess[v]))
-    value, flows, reached = max_flow(n + 2, reduced, s, t)
-    if value != need:
-        return None, frozenset(v for v in reached if v < n)
-    return [flows[i] + edges[i][2] for i in range(len(edges))], frozenset()
+from .digraph import _mask_bits, _mask_of
+from .errors import PreconditionError
 
 
 def degree_bounded_subgraph(
@@ -108,28 +25,106 @@ def degree_bounded_subgraph(
     them pass through v.  Returns the picked arcs in input order and two
     empty sets; when no choice exists, None plus the vertices whose entry
     side and whose exit side lie on the source side of the blocking cut.
+    A surplus that does not sum to 0 raises PreconditionError.
 
-    Solved as a circulation on the split-node network: node v is the
-    entry side of vertex v, node n + v its exit side, arc (u, v) runs from
-    n + u to v, and vertex v's own edge from v to n + v carries the
-    through traffic.  Surplus enters exit sides from a source and leaves
-    entry sides into a sink, with a return edge from sink to source.
+    Solved as a circulation on the split-node network: arc (u, v) runs
+    from the exit side of u to the entry side of v, and vertex v's own
+    edge from its entry side to its exit side carries the through traffic.
+    With the lower bounds taken as given, each exit side v has a supply of
+    ``lo[v]`` plus the positive part of ``surplus[v]`` and each entry side
+    a demand of ``lo[v]`` plus the negative part.  Each unit is one
+    breadth-first search from the exit sides with supply left, in
+    ascending order, to the first entry side with demand left.  An exit
+    side scans its unpicked arcs' heads in ascending order and then its
+    own edge backwards; an entry side scans its picked arcs' tails in
+    ascending order and then its own edge forwards.  This is the order in
+    which Edmonds-Karp searches the network built from the arcs sorted,
+    so it picks what that would; the input order only orders the output.
     """
-    edges = [(n + u, v, 0, 1) for u, v in arcs]
-    edges += [(v, n + v, lo[v], hi[v]) for v in range(n)]
-    nodes = 2 * n
-    if surplus is not None:
-        src, snk = 2 * n, 2 * n + 1
-        nodes += 2
-        for v in range(n):
-            if surplus[v] > 0:
-                edges.append((src, n + v, surplus[v], surplus[v]))
-            elif surplus[v] < 0:
-                edges.append((v, snk, -surplus[v], -surplus[v]))
-        edges.append((snk, src, 0, sum(s for s in surplus if s > 0)))
-    flows, reached = circulation_with_cut(nodes, edges)
-    if flows is None:
-        entry = frozenset(v for v in reached if v < n)
-        exit_ = frozenset(v - n for v in reached if n <= v < 2 * n)
-        return None, entry, exit_
-    return [a for a, f in zip(arcs, flows) if f], frozenset(), frozenset()
+    if surplus is None:
+        surplus = [0] * n
+    elif sum(surplus) != 0:
+        raise PreconditionError(f"surplus sums to {sum(surplus)}, not 0")
+    if any(a > b for a, b in zip(lo, hi)):
+        everything = frozenset(range(n))
+        return None, everything, everything
+    free = [0] * n  # free[u] bit v: arc (u,v) offered and not picked
+    taken = [0] * n  # taken[v] bit u: arc (u,v) picked
+    for u, v in arcs:
+        free[u] |= 1 << v
+    room = [b - a for a, b in zip(lo, hi)]  # own-edge units allowed above lo
+    extra = [0] * n  # own-edge units carried above lo
+    supply = [a + max(s, 0) for a, s in zip(lo, surplus)]
+    demand = [a + max(-s, 0) for a, s in zip(lo, surplus)]
+    stocked = _mask_of(v for v in range(n) if supply[v])
+    needy = _mask_of(v for v in range(n) if demand[v])
+    while stocked:
+        via_in = [0] * n  # exit side each reached entry side came from
+        via_out = [-1] * n  # entry side each reached exit side came from
+        seen_in, seen_out = 0, stocked
+        frontier = list(_mask_bits(stocked))
+        hit = -1
+        while frontier:
+            entries: list[int] = []
+            for u in frontier:
+                step = free[u] & ~seen_in
+                seen_in |= step
+                hits = step & needy
+                if hits:
+                    hit = (hits & -hits).bit_length() - 1
+                    via_in[hit] = u
+                    break
+                while step:  # _mask_bits inlined: this is the hot loop
+                    low = step & -step
+                    w = low.bit_length() - 1
+                    via_in[w] = u
+                    entries.append(w)
+                    step ^= low
+                if extra[u] and not seen_in >> u & 1:
+                    seen_in |= 1 << u
+                    via_in[u] = u
+                    if needy >> u & 1:
+                        hit = u
+                        break
+                    entries.append(u)
+            if hit >= 0:
+                break
+            frontier = []
+            for v in entries:
+                step = taken[v] & ~seen_out
+                seen_out |= step
+                while step:
+                    low = step & -step
+                    w = low.bit_length() - 1
+                    via_out[w] = v
+                    frontier.append(w)
+                    step ^= low
+                if extra[v] < room[v] and not seen_out >> v & 1:
+                    seen_out |= 1 << v
+                    via_out[v] = v
+                    frontier.append(v)
+        if hit < 0:
+            return None, frozenset(_mask_bits(seen_in)), frozenset(_mask_bits(seen_out))
+        demand[hit] -= 1
+        if not demand[hit]:
+            needy ^= 1 << hit
+        v = hit
+        while True:
+            u = via_in[v]
+            if u == v:
+                extra[v] -= 1
+            else:
+                free[u] ^= 1 << v
+                taken[v] |= 1 << u
+            v = via_out[u]
+            if v < 0:
+                break
+            if v == u:
+                extra[u] += 1
+            else:
+                free[u] |= 1 << v
+                taken[v] ^= 1 << u
+        supply[u] -= 1
+        if not supply[u]:
+            stocked ^= 1 << u
+    return [(u, v) for u, v in arcs if taken[v] >> u & 1], frozenset(), frozenset()

@@ -370,9 +370,9 @@ def _factor_then_merge(
 ) -> EulerianSubdigraph | ObstructionPartition | None:
     """Decide a spanning eulerian subdigraph of d via factor + merge.
 
-    When the merge gets stuck, factors found from shuffled orders of the
-    arcs get another try.  A factor exists whatever the order, so each
-    shuffle yields one.
+    When the merge gets stuck, factors found on relabelled vertices get
+    another try: each relabels d, picks a factor and maps it back.  A
+    factor exists whatever the labels, so each relabelling yields one.
     """
     fac = _factor(d)
     if isinstance(fac, ObstructionPartition):
@@ -380,12 +380,12 @@ def _factor_then_merge(
     merged = _merge(d, fac.arcs, frozenset())
     if merged is not None:
         return EulerianSubdigraph(merged)
-    arcs = list(d.arcs())
     for seed in range(1, 7):
-        pool = arcs[:]
-        random.Random(seed).shuffle(pool)
-        picked, _, _ = _factor_arcs(d.n, pool)
-        merged = _merge(d, picked, frozenset())
+        label = list(range(d.n))
+        random.Random(seed).shuffle(label)
+        picked, _, _ = _factor_arcs(d.n, [(label[u], label[v]) for u, v in d.arcs()])
+        back = {new: old for old, new in enumerate(label)}
+        merged = _merge(d, {(back[u], back[v]) for u, v in picked}, frozenset())
         if merged is not None:
             if trace is not None:
                 trace.append("merge-retry")

@@ -210,17 +210,20 @@ def test_cross_cycle_matches_the_shortest_walk_search() -> None:
     found = stuck = 0
     for d, avoid, rng in _merge_inputs():
         allowed = [a for a in d.arcs() if a not in avoid]
-        for _ in range(3):  # the factor in input order, then two shuffles
-            picked, _, _ = _factor_arcs(d.n, allowed)
+        label = list(range(d.n))
+        for _ in range(3):  # the factor on the input labels, then two relabellings
+            picked, _, _ = _factor_arcs(d.n, [(label[u], label[v]) for u, v in allowed])
             if picked is None:
                 break
+            back = {new: old for old, new in enumerate(label)}
+            picked = [(back[u], back[v]) for u, v in picked]
             for current, comps, comp_of, _ in _merge_states(d, avoid, picked):
                 got = _cross_cycle(d.remove_arcs(avoid), comps, comp_of)
                 assert got == _reference_cross_cycle(d, avoid, current, comp_of)
                 if len(comps) > 1:
                     found += got is not None
                     stuck += got is None
-            rng.shuffle(allowed)
+            rng.shuffle(label)
     # both outcomes occur among the states with several components
     assert found > 50 and stuck > 20
 

@@ -1,4 +1,9 @@
+import random
+
+import pytest
+
 from eulertrail._flow import degree_bounded_subgraph
+from eulertrail.errors import PreconditionError
 
 
 def through_and_balance(n: int, arcs) -> tuple[list[int], list[int]]:
@@ -54,3 +59,153 @@ def test_infeasible_pick_reports_the_cut_sides() -> None:
 def test_lower_bound_above_upper_bound_is_infeasible() -> None:
     picked, _, _ = degree_bounded_subgraph(4, K4, [1, 2, 1, 1], [1, 1, 1, 1])
     assert picked is None
+
+
+def test_unbalanced_surplus_is_refused() -> None:
+    with pytest.raises(PreconditionError):
+        degree_bounded_subgraph(4, K4, [0] * 4, [3] * 4, [1, 0, 0, 0])
+
+
+# ---- reference: Edmonds-Karp and a lower-bound reduction on an edge list ----
+
+
+def _reference_max_flow(n: int, edges, s: int, t: int):
+    """Edmonds-Karp over an explicit edge list of (tail, head, capacity):
+    the value, per-edge flows and the residual-reachable nodes from s."""
+    cap: list[int] = []
+    to: list[int] = []
+    adj: list[list[int]] = [[] for _ in range(n)]
+    for u, v, c in edges:
+        adj[u].append(len(cap))
+        to.append(v)
+        cap.append(c)
+        adj[v].append(len(cap))
+        to.append(u)
+        cap.append(0)
+    value = 0
+    while True:
+        prev_edge = [-1] * n
+        prev_edge[s] = -2
+        queue = [s]
+        while queue and prev_edge[t] == -1:
+            nxt: list[int] = []
+            for v in queue:
+                for e in adj[v]:
+                    w = to[e]
+                    if cap[e] > 0 and prev_edge[w] == -1:
+                        prev_edge[w] = e
+                        if w == t:
+                            break
+                        nxt.append(w)
+                if prev_edge[t] != -1:
+                    break
+            queue = nxt
+        if prev_edge[t] == -1:
+            reached = frozenset(v for v in range(n) if prev_edge[v] != -1) | {s}
+            return value, [cap[2 * i + 1] for i in range(len(edges))], reached
+        bottleneck = None
+        v = t
+        while v != s:
+            e = prev_edge[v]
+            bottleneck = cap[e] if bottleneck is None else min(bottleneck, cap[e])
+            v = to[e ^ 1]
+        v = t
+        while v != s:
+            e = prev_edge[v]
+            cap[e] -= bottleneck
+            cap[e ^ 1] += bottleneck
+            v = to[e ^ 1]
+        value += bottleneck
+
+
+def _reference_circulation(n: int, edges):
+    """Circulation meeting (tail, head, lower, upper) bounds: the per-edge
+    flows, or None plus the source side of the reduction's cut."""
+    excess = [0] * n
+    reduced = []
+    for u, v, lo, hi in edges:
+        if lo > hi:
+            return None, frozenset(range(n))
+        reduced.append((u, v, hi - lo))
+        excess[v] += lo
+        excess[u] -= lo
+    s, t = n, n + 1
+    need = 0
+    for v in range(n):
+        if excess[v] > 0:
+            reduced.append((s, v, excess[v]))
+            need += excess[v]
+        elif excess[v] < 0:
+            reduced.append((v, t, -excess[v]))
+    value, flows, reached = _reference_max_flow(n + 2, reduced, s, t)
+    if value != need:
+        return None, frozenset(v for v in reached if v < n)
+    return [flows[i] + edges[i][2] for i in range(len(edges))], frozenset()
+
+
+def _reference_subgraph(n: int, arcs, lo, hi, surplus=None):
+    """``degree_bounded_subgraph`` on the split-node edge list: entry side
+    v, exit side n + v, and a source, a sink and a return edge for the
+    surplus."""
+    edges = [(n + u, v, 0, 1) for u, v in arcs]
+    edges += [(v, n + v, lo[v], hi[v]) for v in range(n)]
+    nodes = 2 * n
+    if surplus is not None:
+        src, snk = 2 * n, 2 * n + 1
+        nodes += 2
+        for v in range(n):
+            if surplus[v] > 0:
+                edges.append((src, n + v, surplus[v], surplus[v]))
+            elif surplus[v] < 0:
+                edges.append((v, snk, -surplus[v], -surplus[v]))
+        edges.append((snk, src, 0, sum(s for s in surplus if s > 0)))
+    flows, reached = _reference_circulation(nodes, edges)
+    if flows is None:
+        entry = frozenset(v for v in reached if v < n)
+        exit_ = frozenset(v - n for v in reached if n <= v < 2 * n)
+        return None, entry, exit_
+    return [a for a, f in zip(arcs, flows) if f], frozenset(), frozenset()
+
+
+def _random_case(rng: random.Random):
+    """Sorted arcs, bounds and a balanced surplus (or None) on n = 0-30
+    vertices, shaped like the factor, the forced-arc completion and the
+    one-path completion, with the bounds crossed now and then."""
+    n = rng.randint(0, 30)
+    density = rng.random()
+    arcs = [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < density]
+    lo = [rng.choice((0, 1, 1, 2)) for _ in range(n)]
+    hi = [a + rng.choice((0, 1, 2, n)) for a in lo]
+    if n and rng.random() < 0.1:
+        v = rng.randrange(n)
+        hi[v] = lo[v] - 1
+    surplus = None
+    if n > 1 and rng.random() < 0.5:
+        surplus = [0] * n
+        for _ in range(rng.randint(0, n)):
+            a, b = rng.sample(range(n), 2)
+            surplus[a] += 1
+            surplus[b] -= 1
+    return n, arcs, lo, hi, surplus
+
+
+def test_picks_and_cut_sides_match_the_edmonds_karp_reference() -> None:
+    rng = random.Random(0)
+    feasible = infeasible = 0
+    for _ in range(3000):
+        n, arcs, lo, hi, surplus = _random_case(rng)
+        want = _reference_subgraph(n, arcs, lo, hi, surplus)
+        assert degree_bounded_subgraph(n, arcs, lo, hi, surplus) == want
+        shuffled = arcs[:]
+        rng.shuffle(shuffled)
+        picked, entry, exit_ = degree_bounded_subgraph(n, shuffled, lo, hi, surplus)
+        if want[0] is None:
+            assert (picked, entry, exit_) == want
+            infeasible += 1
+        else:
+            # a shuffled input only reorders the output
+            assert picked == [a for a in shuffled if a in set(want[0])]
+            assert entry == exit_ == frozenset()
+            feasible += 1
+    # both outcomes occur often
+    assert feasible > 500 and infeasible > 500
