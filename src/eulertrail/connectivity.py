@@ -72,8 +72,10 @@ def _closure(rows: Sequence[int], start: int, within: int = -1) -> int:
     frontier = seen
     while frontier:
         nxt = 0
-        for v in _mask_bits(frontier):
-            nxt |= rows[v]
+        while frontier:  # _mask_bits inlined: this runs under every strongness test
+            low = frontier & -frontier
+            nxt |= rows[low.bit_length() - 1]
+            frontier ^= low
         frontier = nxt & within & ~seen
         seen |= frontier
     return seen

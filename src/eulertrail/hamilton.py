@@ -90,13 +90,12 @@ def _cycle(d: Digraph, within: int) -> list[int]:
     on = _mask_of(cycle)
     while on != within:
         for v in _mask_bits(within & ~on):
+            a, b = into[v], out[v]
+            if not (a & on and b & on):
+                continue  # v dominates the cycle or is dominated by it: no spot
             k = len(cycle)
             spot = next(
-                (
-                    i
-                    for i in range(k)
-                    if d.has_arc(cycle[i], v) and d.has_arc(v, cycle[(i + 1) % k])
-                ),
+                (i for i in range(k) if a >> cycle[i] & 1 and b >> cycle[(i + 1) % k] & 1),
                 None,
             )
             if spot is not None:

@@ -12,7 +12,9 @@ inputs.
 
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
+from typing import Iterable
 
 from .connectivity import (
     CutCertificate,
@@ -27,9 +29,6 @@ from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 from .hamilton import _covering_cycle, _cycle, _path_between, hamiltonian_cycle
 from ._flow import degree_bounded_subgraph
-
-_INF = float("inf")
-
 
 @dataclass(frozen=True)
 class Trail:
@@ -134,22 +133,24 @@ def _weak_components(n: int, arcs) -> list[frozenset[int]]:
     return [frozenset(groups[r]) for r in sorted(groups)]
 
 
-def _euler_walk(arcs: list[Arc], start: int) -> list[int]:
+def _euler_walk(arcs: Iterable[Arc], start: int) -> list[int]:
     """Hierholzer walk from start that takes the smallest unused head
     first; it uses every arc only when the arcs form one trail."""
-    succ: dict[int, list[int]] = {}
+    heads: dict[int, int] = {}  # bitmask row of each tail's unused heads
     for u, v in arcs:
-        succ.setdefault(u, []).append(v)
-    for heads in succ.values():
-        heads.sort(reverse=True)  # pop() takes the smallest head
+        heads[u] = heads.get(u, 0) | 1 << v
     stack = [start]
     walk: list[int] = []
     while stack:
-        v = stack[-1]
-        if succ.get(v):
-            stack.append(succ[v].pop())
-        else:
-            walk.append(stack.pop())
+        v = stack.pop()
+        row = heads.get(v, 0)
+        while row:  # walk on from v, stacking each vertex left behind
+            stack.append(v)
+            low = row & -row
+            heads[v] = row ^ low
+            v = low.bit_length() - 1
+            row = heads.get(v, 0)
+        walk.append(v)
     walk.reverse()
     return walk
 
@@ -158,7 +159,7 @@ def arcs_to_trail(arcs, x: int, y: int) -> Trail:
     """Order an arc set into one open (x,y)-trail (Hierholzer); raises
     ConstructionError when the arcs form no such trail."""
     arcs = set(arcs)
-    walk = _euler_walk(list(arcs), x)
+    walk = _euler_walk(arcs, x)
     # on an unbalanced arc set the walk can step between arcs it does not hold
     if len(walk) != len(arcs) + 1 or walk[-1] != y or set(zip(walk, walk[1:])) != arcs:
         raise ConstructionError("arc set does not form a single (x,y)-trail")
@@ -182,45 +183,44 @@ def _path_arcs(path: list[int]) -> list[Arc]:
 
 
 def _minimal_pair(d: Digraph, x: int, y: int) -> tuple[list[int], list[int]]:
-    """Two arc-disjoint (x,y)-paths of minimum total length, shorter first.
-
-    Successive shortest augmentation with unit arc costs; ties break on
-    the fixed lexicographic arc order, so the result is deterministic.
-    """
-    flow: set[Arc] = set()
-    arcs = list(d.arcs())
-    for _ in range(2):
-        dist: list[float] = [_INF] * d.n
-        dist[x] = 0
-        pred: list[tuple[int, Arc] | None] = [None] * d.n
-        for sweep in range(d.n + 2):
-            changed = False
-            for u, v in arcs:
-                if (u, v) in flow:
-                    if dist[v] - 1 < dist[u]:
-                        dist[u] = dist[v] - 1
-                        pred[u] = (v, (u, v))
-                        changed = True
-                elif dist[u] + 1 < dist[v]:
-                    dist[v] = dist[u] + 1
-                    pred[v] = (u, (u, v))
-                    changed = True
-            if not changed:
-                break
-        else:
-            raise ConstructionError("path search failed to settle")
-        if dist[y] == _INF:
+    """Two arc-disjoint (x,y)-paths of minimum total length, shorter first,
+    by Suurballe's method on bitmask rows (Suurballe & Tarjan, Networks 14,
+    1984): a breadth-first search finds a shortest path, and its levels,
+    capped at y's, make every residual cost non-negative for one Dijkstra
+    search of the residual rows.  Ties break on vertex ids."""
+    out, n = d._out, d.n  # noqa: SLF001 - package-internal
+    level, parent, reached, queue = [n] * n, [-1] * n, 1 << x, [x]
+    level[x] = 0
+    for u in queue:  # the queue grows while it is read
+        if reached >> y & 1:
+            break
+        for w in _mask_bits(out[u] & ~reached):
+            level[w], parent[w] = level[u] + 1, u
+            reached |= 1 << w
+            queue.append(w)
+    h = [min(lv, level[y]) for lv in level]  # unlabelled: at y's level or beyond
+    fwd, back = [0] * n, [0] * n  # (u,v) carries flow: bit v of fwd[u], bit u of back[v]
+    for search in range(2):
+        if search:  # Dijkstra: a stale heap entry relaxes nothing, no path costs n
+            dist, parent, done, heap = [n] * n, [-1] * n, 0, [(0, x)]
+            while heap and not done >> y & 1:
+                du, u = heapq.heappop(heap)
+                done |= 1 << u
+                for row, cost in ((out[u] & ~fwd[u], h[u] + 1), (back[u], h[u] - 1)):
+                    for w in _mask_bits(row & ~done):
+                        if du + cost - h[w] < dist[w]:
+                            dist[w], parent[w] = du + cost - h[w], u
+                            heapq.heappush(heap, (dist[w], w))
+        if parent[y] < 0:
             raise ConstructionError("second disjoint path vanished during search")
         v = y
         while v != x:
-            assert pred[v] is not None
-            w, arc = pred[v]
-            if arc in flow:
-                flow.discard(arc)
-            else:
-                flow.add(arc)
-            v = w
-    p1, p2 = flow_paths(flow, x, y, 2)
+            u = parent[v]
+            a, b = (v, u) if back[u] >> v & 1 else (u, v)  # cancel (v,u) or fill (u,v)
+            fwd[a] ^= 1 << b
+            back[b] ^= 1 << a
+            v = u
+    p1, p2 = flow_paths(((u, v) for u in range(n) for v in _mask_bits(fwd[u])), x, y, 2)
     if (len(p2), p2) < (len(p1), p1):
         p1, p2 = p2, p1
     return p1, p2

@@ -6,7 +6,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.connectivity import _certificate_from_mask, _max_flow, flow_paths, shortest_walk
+from eulertrail.connectivity import (
+    _certificate_from_mask,
+    _closure,
+    _max_flow,
+    flow_paths,
+    shortest_walk,
+)
 from eulertrail.digraph import _mask_bits
 from instances import (
     backward_chain,
@@ -458,3 +464,30 @@ def test_connectivity_agrees_with_networkx() -> None:
             assert isinstance(probe, list) == (nx.edge_connectivity(g, x, y) >= k)
             if isinstance(probe, et.CutCertificate):
                 assert probe.check(d) == [] and len(probe.crossing_arcs) < k
+
+
+def _reference_closure(rows, start: int, within: int = -1) -> int:
+    """``_closure`` with its bit loop run through the ``_mask_bits``
+    generator."""
+    seen = 1 << start
+    frontier = seen
+    while frontier:
+        nxt = 0
+        for v in _mask_bits(frontier):
+            nxt |= rows[v]
+        frontier = nxt & within & ~seen
+        seen |= frontier
+    return seen
+
+
+def test_closure_matches_the_generator_loop() -> None:
+    rng = random.Random(363667)
+    for _ in range(400):
+        n = rng.randint(1, 40)
+        p = rng.random()
+        rows = [sum(1 << v for v in range(n) if rng.random() < p) for _ in range(n)]
+        start = rng.randrange(n)
+        assert _closure(rows, start) == _reference_closure(rows, start)
+        for _ in range(4):
+            within = rng.getrandbits(n)  # start may lie outside it
+            assert _closure(rows, start, within) == _reference_closure(rows, start, within)

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 import eulertrail as et
 from eulertrail.connectivity import _components, _strong
 from eulertrail.digraph import _mask_bits, _mask_of
-from eulertrail.hamilton import _cycle, _path_between
+from eulertrail.hamilton import _cycle, _path_between, _shortest_cycle_seed
 from instances import (
     backward_chain,
     complete,
@@ -213,3 +213,51 @@ def test_mask_routines_match_the_induced_copy() -> None:
                 local = et.hamiltonian_path_between(sub, ids.index(x))
                 assert _path_between(d, within, x) == [ids[v] for v in local]
     assert strong_sets > 100 and split_sets > 100
+
+
+# ---- the insertion scan against the has_arc scan it replaced ----
+
+
+def _reference_cycle(d: et.Digraph, within: int) -> list[int]:
+    """``_cycle`` as it was when every cycle position was tried with two
+    ``has_arc`` calls for every outside vertex."""
+    cycle = _shortest_cycle_seed(d, within)
+    on = _mask_of(cycle)
+    while on != within:
+        for v in _mask_bits(within & ~on):
+            k = len(cycle)
+            spot = next(
+                (i for i in range(k) if d.has_arc(cycle[i], v) and d.has_arc(v, cycle[(i + 1) % k])),
+                None,
+            )
+            if spot is not None:
+                cycle.insert(spot + 1, v)
+                on |= 1 << v
+                break
+        else:
+            outside = within & ~on
+            dominating = _mask_of(v for v in _mask_bits(outside) if not d.in_mask(v) & on)
+            w = next(w for w in _mask_bits(outside)
+                     if not d.out_mask(w) & on and d.out_mask(w) & dominating)
+            heads = d.out_mask(w) & dominating
+            z = (heads & -heads).bit_length() - 1
+            cycle[1:1] = [w, z]
+            on |= 1 << w | 1 << z
+    return cycle
+
+
+def test_cycle_matches_the_has_arc_scan() -> None:
+    rng = random.Random(52565)
+    whole = masks = 0
+    for i in range(160):
+        n = rng.randint(2, 25)
+        d = random_strong_semicomplete(n, rng.randrange(1 << 30)) if i % 2 else backward_chain(n, rng)
+        if et.is_strong(d):  # a short backward chain may not be
+            whole += 1
+            assert _cycle(d, (1 << n) - 1) == _reference_cycle(d, (1 << n) - 1)
+        for _ in range(6):
+            within = _mask_of(rng.sample(range(n), rng.randint(2, n)))
+            if _strong(d, within):
+                masks += 1
+                assert _cycle(d, within) == _reference_cycle(d, within)
+    assert whole > 120 and masks > 200

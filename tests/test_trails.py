@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -5,8 +6,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
-from eulertrail.trails import _accepted_trail, _weak_components, arcs_to_trail, closed_tour
-from instances import complete, random_strong_semicomplete, three_cycle
+from eulertrail.connectivity import flow_paths
+from eulertrail.trails import (
+    _accepted_trail,
+    _euler_walk,
+    _minimal_pair,
+    _weak_components,
+    arcs_to_trail,
+    closed_tour,
+)
+from instances import backward_chain, complete, random_strong_semicomplete, three_cycle
 
 
 def out_counts(arcs) -> dict[int, int]:
@@ -218,3 +227,141 @@ def test_is_eulerian_connected_frozen_cases() -> None:
     assert et.is_eulerian_connected(three_cycle()) == (False, (0, 1))
     # in the small exceptional digraph only the pair (1, 2) lacks a trail
     assert et.is_eulerian_connected(et.gen_d3()) == (False, (1, 2))
+
+
+# ---- the path pair against the Bellman-Ford search it replaced ----
+
+
+def _reference_pair(d: et.Digraph, x: int, y: int) -> tuple[list[int], list[int]]:
+    """Two successive shortest augmentations by Bellman-Ford sweeps over
+    the arc list, with the flow kept as a set of arcs."""
+    inf = float("inf")
+    flow: set = set()
+    arcs = list(d.arcs())
+    for _ in range(2):
+        dist = [inf] * d.n
+        dist[x] = 0
+        pred: list = [None] * d.n
+        for _ in range(d.n + 2):
+            changed = False
+            for u, v in arcs:
+                if (u, v) in flow:
+                    if dist[v] - 1 < dist[u]:
+                        dist[u], pred[u], changed = dist[v] - 1, (v, (u, v)), True
+                elif dist[u] + 1 < dist[v]:
+                    dist[v], pred[v], changed = dist[u] + 1, (u, (u, v)), True
+            if not changed:
+                break
+        else:
+            raise et.ConstructionError("path search failed to settle")
+        if dist[y] == inf:
+            raise et.ConstructionError("second disjoint path vanished during search")
+        v = y
+        while v != x:
+            w, arc = pred[v]
+            flow.symmetric_difference_update({arc})
+            v = w
+    p1, p2 = flow_paths(flow, x, y, 2)
+    if (len(p2), p2) < (len(p1), p1):
+        p1, p2 = p2, p1
+    return p1, p2
+
+
+def _pair_issues(d: et.Digraph, x: int, y: int, pair) -> list[str]:
+    """Why the pair is not two arc-disjoint simple (x,y)-paths of d,
+    shorter first."""
+    issues = []
+    p1, p2 = pair
+    for p in pair:
+        if p[0] != x or p[-1] != y or len(set(p)) != len(p):
+            issues.append(f"{p} is no simple ({x},{y})-path")
+        if not all(d.has_arc(u, v) for u, v in zip(p, p[1:])):
+            issues.append(f"{p} leaves the digraph")
+    if set(zip(p1, p1[1:])) & set(zip(p2, p2[1:])):
+        issues.append("the paths share an arc")
+    if len(p1) > len(p2):
+        issues.append("the longer path comes first")
+    return issues
+
+
+def test_minimal_pair_matches_the_bellman_ford_search() -> None:
+    rng = random.Random(1984)
+    linked = unlinked = 0
+    for i in range(300):
+        n = rng.randint(4, 25)
+        if i % 2:
+            d = et.gen_random_semicomplete(n, rng.random(), rng.randrange(1 << 30))
+        else:
+            d = backward_chain(n, rng)
+        for _ in range(4):
+            x, y = rng.sample(range(n), 2)
+            try:
+                expected = _reference_pair(d, x, y)
+            except et.ConstructionError:
+                unlinked += 1
+                with pytest.raises(et.ConstructionError):
+                    _minimal_pair(d, x, y)
+                continue
+            got = _minimal_pair(d, x, y)
+            linked += 1
+            assert _pair_issues(d, x, y, got) == []
+            assert len(got[0]) + len(got[1]) == len(expected[0]) + len(expected[1])
+    assert linked > 600 and unlinked > 150
+
+
+def test_minimal_pair_caps_the_potentials_at_y_level() -> None:
+    # the first search stops at y's level 1 before it labels 0 and 5, and
+    # the shortest second path runs through 5: its potential must be 1,
+    # since an unlabelled vertex's true level is at least y's
+    d = et.Digraph(6, [(0, 2), (0, 4), (0, 5), (1, 0), (1, 3), (1, 4), (2, 1), (2, 3),
+                       (2, 4), (3, 0), (3, 4), (4, 5), (5, 1), (5, 2), (5, 3)])
+    assert _minimal_pair(d, 2, 1) == _reference_pair(d, 2, 1) == ([2, 1], [2, 4, 5, 1])
+
+
+# ---- the Hierholzer walk against the dict-keyed walk it replaced ----
+
+
+def _reference_walk(arcs, start: int) -> list[int]:
+    """``_euler_walk`` as it was, with a sorted head list per tail."""
+    succ: dict[int, list[int]] = {}
+    for u, v in arcs:
+        succ.setdefault(u, []).append(v)
+    for heads in succ.values():
+        heads.sort(reverse=True)  # pop() takes the smallest head
+    stack = [start]
+    walk: list[int] = []
+    while stack:
+        v = stack[-1]
+        if succ.get(v):
+            stack.append(succ[v].pop())
+        else:
+            walk.append(stack.pop())
+    walk.reverse()
+    return walk
+
+
+def _random_arc_set(rng: random.Random, n: int, balanced: bool) -> set:
+    """Arc-disjoint random cycles when balanced, random arcs otherwise."""
+    arcs: set = set()
+    if not balanced:
+        return {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.3}
+    for _ in range(rng.randint(1, 5)):
+        cycle = rng.sample(range(n), rng.randint(2, n))
+        new = set(zip(cycle, cycle[1:] + cycle[:1]))
+        if not new & arcs:
+            arcs |= new
+    return arcs
+
+
+def test_euler_walk_matches_the_dict_keyed_walk() -> None:
+    balanced_tours = 0
+    rng = random.Random(1736)
+    for i in range(800):
+        n = rng.randint(2, 14)
+        arcs = _random_arc_set(rng, n, balanced=i % 2 == 1)
+        for start in rng.sample(range(n), min(3, n)):
+            walk = _euler_walk(arcs, start)
+            assert walk == _reference_walk(arcs, start)
+            if i % 2 and len(walk) == len(arcs) + 1:
+                balanced_tours += 1
+    assert balanced_tours > 300
