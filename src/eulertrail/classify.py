@@ -39,7 +39,7 @@ from .decomposition import (
 )
 from .digraph import Arc, Digraph, _mask_of, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
-from .factor import ObstructionPartition, _merge, spanning_eulerian_avoiding
+from .factor import NonStrongCut, ObstructionPartition, _merge, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
 from .hamilton import _component_path, _path_between
 from .trails import EulerianSubdigraph, _spanning_trail
@@ -193,10 +193,8 @@ def _forced_flow_witness(
     picked, _, _ = degree_bounded_subgraph(n, rest, lo, [n] * n, surplus)
     if picked is None:
         return None
-    candidate = frozenset(forced.union(picked))
-    if not EulerianSubdigraph(candidate).check(d):
-        return candidate
-    return _merge(d, candidate, frozenset(forced))
+    # a connected candidate comes back from _merge unchanged
+    return _merge(d, forced.union(picked), frozenset(forced))
 
 
 def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
@@ -338,11 +336,15 @@ def _unavoidability(
 ) -> ArcUnavoidability:
     """``classify_unavoidable`` on trusted input.  An avoidable arc takes
     the first of the validated spanning eulerian ``witnesses`` that
-    misses it; only when none does is a witness built, validated and
-    appended to the list."""
+    misses it; only when none does is a witness built (and validated) by
+    ``spanning_eulerian_avoiding`` and appended to the list.  A cut or a
+    partition is validated here."""
     u, v = arc
     if arc in cut_arcs(d):
         _, cert = arc_connectivity_certificate(d.remove_arcs([arc]))
+        bad = NonStrongCut(cert).check(d, frozenset((arc,)))
+        if bad:
+            raise ConstructionError(f"cut certificate for {arc} failed validation: {bad}")
         return ArcUnavoidability(arc, True, "cut", cert, None, None)
     rest = d.remove_arcs([arc])
     if d.n >= 4:
@@ -375,9 +377,6 @@ def _unavoidability(
             raise ConstructionError(
                 f"arc {arc} passed the avoidability tests but no witness was found"
             )
-        bad = got.check(d, frozenset((arc,)))
-        if bad:
-            raise ConstructionError(f"avoidance witness for {arc} invalid: {bad}")
         witnesses.append(got)
     return ArcUnavoidability(arc, False, None, None, None, got)
 

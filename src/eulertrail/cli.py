@@ -8,8 +8,8 @@ subdigraph avoiding prescribed arcs), and ``conjecture-search`` (random
 probe for avoidance counterexamples).  JSON goes to stdout, a short
 human summary to stderr; exit codes are 0 for decided-with-certificate,
 2 for decided-impossible-with-obstruction, 3 for unknown, 1 for input
-errors.  Every certificate is re-validated before printing, each
-distinct one once per command.
+errors.  The library checks each certificate once, where it builds it;
+the commands here read the input and print the answer.
 """
 
 from __future__ import annotations
@@ -24,9 +24,10 @@ from functools import cache, partial
 from .classify import (
     ArcContainment,
     ArcUnavoidability,
+    _containment,
+    _require,
+    _unavoidability,
     classify_all,
-    classify_containment,
-    classify_unavoidable,
 )
 from .connectivity import (
     CutCertificate,
@@ -46,7 +47,7 @@ from .digraph import (
 )
 from .errors import ConstructionError, EulertrailError, ParseError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, spanning_eulerian_avoiding
-from .trails import EulerianSubdigraph, spanning_trail
+from .trails import EulerianSubdigraph, _spanning_trail
 
 EXIT_CERTIFICATE = 0
 EXIT_INPUT = 1
@@ -145,21 +146,6 @@ def _say(args: argparse.Namespace, text: str) -> None:
         print(text, file=sys.stderr)
 
 
-# ---- certificate re-validation ----
-
-
-def _revalidate(
-    d: Digraph,
-    cert: EulerianSubdigraph | CutCertificate | ObstructionPartition,
-    avoid: frozenset[Arc] = frozenset(),
-) -> None:
-    """Re-check a certificate against d without the avoided arcs; raises
-    ConstructionError on any violation."""
-    bad = cert.check(d, avoid)
-    if bad:
-        raise ConstructionError(f"{type(cert).__name__} failed validation: {bad}")
-
-
 # ---- input handling ----
 
 
@@ -235,39 +221,28 @@ def cmd_analyze(args: argparse.Namespace) -> int:
 # ---- classify ----
 
 
-def _checked_row(
-    d: Digraph,
+def _classify_row(
     cont: ArcContainment,
     unav: ArcUnavoidability,
-    checked: dict[EulerianSubdigraph, list[list[int]]],
+    lists: dict[EulerianSubdigraph, list[list[int]]],
 ) -> dict:
-    """One arc's row, after re-validating its certificates.  A witness in
-    ``checked`` has passed ``cert.check(d)`` already, so only its relation
-    to this row's arc is checked again; rows that share a witness share
-    its sorted arc list."""
+    """One arc's row; rows that share a witness share its sorted arc list,
+    kept in ``lists``."""
     arc = cont.arc
     for witness in (cont.witness, unav.avoidance_witness):
-        if witness is not None and witness not in checked:
-            _revalidate(d, witness)
-            checked[witness] = _arc_rows(witness.arcs)
-    if cont.witness is not None and arc not in cont.witness.arcs:
-        raise ConstructionError("containment witness misses its own arc")
-    if unav.avoidance_witness is not None and arc in unav.avoidance_witness.arcs:
-        raise ConstructionError("avoidance witness uses its own arc")
-    for cert in (unav.cut_certificate, unav.partition):
-        if cert is not None:
-            _revalidate(d, cert, frozenset((arc,)))
+        if witness is not None and witness not in lists:
+            lists[witness] = _arc_rows(witness.arcs)
     return {
         "arc": [arc[0], arc[1]],
         "good": cont.in_some,
         "bad_pattern": cont.obstruction,
-        "witness": checked[cont.witness] if cont.witness else None,
+        "witness": lists[cont.witness] if cont.witness else None,
         "unavoidable": unav.kind if unav.unavoidable else False,
         "cut_certificate": _cut_json(unav.cut_certificate)
         if unav.cut_certificate
         else None,
         "partition": _partition_json(unav.partition) if unav.partition else None,
-        "avoidance_witness": checked[unav.avoidance_witness]
+        "avoidance_witness": lists[unav.avoidance_witness]
         if unav.avoidance_witness
         else None,
     }
@@ -275,11 +250,11 @@ def _checked_row(
 
 def cmd_classify(args: argparse.Namespace) -> int:
     d = _load_digraph(args.input)
-    checked: dict[EulerianSubdigraph, list[list[int]]] = {}
+    lists: dict[EulerianSubdigraph, list[list[int]]] = {}
     if args.arc is not None:
         arc = (args.arc[0], args.arc[1])
-        cont, unav = classify_containment(d, arc), classify_unavoidable(d, arc)
-        row = _checked_row(d, cont, unav, checked)
+        _require(d, [arc])
+        row = _classify_row(_containment(d, arc), _unavoidability(d, arc, []), lists)
         _say(
             args,
             f"arc {arc}: "
@@ -293,7 +268,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
         )
         _emit(row)
         return EXIT_CERTIFICATE
-    rows = [_checked_row(d, cont, unav, checked) for cont, unav in classify_all(d)]
+    rows = [_classify_row(cont, unav, lists) for cont, unav in classify_all(d)]
     good = sum(1 for r in rows if r["good"])
     heavy = sum(1 for r in rows if r["unavoidable"])
     _say(
@@ -319,16 +294,13 @@ def cmd_trail(args: argparse.Namespace) -> int:
         raise PreconditionError("endpoints must be two distinct vertices")
     probe = arc_disjoint_paths(d, x, y, 2)
     if isinstance(probe, CutCertificate):
-        _revalidate(d, probe)
-        if len(probe.crossing_arcs) >= 2:
+        # a plain flow query, so its cut is checked here, once
+        if probe.check(d) or len(probe.crossing_arcs) >= 2:
             raise ConstructionError("cut certificate does not refute two paths")
         _say(args, f"no two arc-disjoint paths {x}->{y}: cut of size {len(probe.crossing_arcs)}")
         _emit({"trail": None, "cut": _cut_json(probe)})
         return EXIT_OBSTRUCTION
-    trail = spanning_trail(d, x, y)
-    bad = trail.check(d, x, y)
-    if bad:
-        raise ConstructionError(f"trail failed validation: {bad}")
+    trail = _spanning_trail(d, x, y)
     _say(args, f"spanning trail {x}->{y} with {len(trail.vertices) - 1} arcs")
     _emit({"trail": list(trail.vertices), "cut": None})
     return EXIT_CERTIFICATE
@@ -342,12 +314,10 @@ def cmd_avoid(args: argparse.Namespace) -> int:
     forbidden = _load_arc_file(args.arcs) if args.arcs else frozenset()
     result = spanning_eulerian_avoiding(d, forbidden)
     if isinstance(result, EulerianSubdigraph):
-        _revalidate(d, result, forbidden)
         _say(args, f"certificate with {len(result.arcs)} arcs")
         _emit({"certificate": _arc_rows(result.arcs), "obstruction": None})
         return EXIT_CERTIFICATE
     if isinstance(result, NonStrongCut):
-        _revalidate(d, result.certificate, forbidden)
         _say(args, "obstruction: allowed arcs are not strongly connected")
         _emit(
             {
@@ -357,7 +327,6 @@ def cmd_avoid(args: argparse.Namespace) -> int:
         )
         return EXIT_OBSTRUCTION
     if isinstance(result, ObstructionPartition):
-        _revalidate(d, result, forbidden)
         _say(args, "obstruction: no eulerian factor avoids the set")
         _emit(
             {
@@ -407,9 +376,6 @@ def _run_trial(seed: int, k: int, n_max: int, index: int) -> dict:
     d, avoid = inst
     result = spanning_eulerian_avoiding(d, avoid)
     if isinstance(result, EulerianSubdigraph):
-        bad = result.check(d, avoid)
-        if bad:
-            raise ConstructionError(f"trial {index}: invalid certificate: {bad}")
         return {"index": index, "status": "certificate"}
     from .oracle import enumerate_spanning_eulerian
 

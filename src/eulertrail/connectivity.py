@@ -32,7 +32,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Container, Iterable, Sequence
 
-from .digraph import Arc, Digraph, _mask_bits
+from .digraph import Arc, Digraph, _mask_bits, _mask_of
 from .errors import ConstructionError, PreconditionError
 
 
@@ -52,15 +52,17 @@ class CutCertificate:
         """Violation report against a digraph whose ``ignore`` arcs count
         as absent; empty means the sides partition the vertices and the
         crossing arcs are exactly the remaining arcs from S to T."""
-        s, t = set(self.side_s), set(self.side_t)
-        if s & t or s | t != set(d.vertices()) or not s or not t:
+        n, out = d.n, d._out  # noqa: SLF001 - package-internal
+        # range-checked first: a mask cannot hold an id below 0
+        if not all(0 <= v < n for side in (self.side_s, self.side_t) for v in side):
             return ["sides do not partition the vertices"]
-        crossing = {
-            (u, v)
-            for u, v in d.arcs()
-            if u in s and v in t and (u, v) not in ignore
-        }
-        if crossing != set(self.crossing_arcs):
+        s, t = _mask_of(self.side_s), _mask_of(self.side_t)
+        if s & t or s | t != (1 << n) - 1 or not s or not t:
+            return ["sides do not partition the vertices"]
+        crossing = {(u, v) for u in _mask_bits(s) for v in _mask_bits(out[u] & t)}
+        if ignore:
+            crossing.difference_update(ignore)
+        if crossing != self.crossing_arcs:
             return ["crossing arcs do not match the digraph"]
         return []
 

@@ -12,8 +12,8 @@ arc sets.
 
 Avoided arcs are removed once, where a public function is called:
 ``eulerian_factor`` and ``merge_all`` vet them and pass
-``d.remove_arcs(avoid)`` on, and ``spanning_eulerian_avoiding`` builds
-that digraph as ``rest``.  Every internal works on the one digraph it is
+``d.remove_arcs(avoid)`` on, and the avoiding pipeline builds that
+digraph as ``rest``.  Every internal works on the one digraph it is
 given, whose arcs are exactly the allowed ones.
 """
 
@@ -96,6 +96,13 @@ class NonStrongCut:
     subdigraph can exist inside them."""
 
     certificate: CutCertificate
+
+    def check(self, d: Digraph, avoid: ArcSet = frozenset()) -> list[str]:
+        """Violation report; empty means the certificate is a cut of d
+        without the ``avoid`` arcs, and no arc crosses it."""
+        if self.certificate.crossing_arcs:
+            return ["an allowed arc crosses the cut"]
+        return self.certificate.check(d, avoid)
 
 
 @dataclass(frozen=True)
@@ -412,9 +419,24 @@ def spanning_eulerian_avoiding(
     also lands in the multipartite case; otherwise factor plus merge runs
     on all the allowed arcs.  Every route retries a stuck merge on perturbed
     factors, and on small inputs an exhaustive search has the last word.
+
+    A certificate or a cut is checked here, a partition where it is
+    refined; a failed check raises ``ConstructionError``.
     """
     forbidden = frozenset(forbidden)
     require_arcs(d, forbidden, "forbidden arc")
+    got = _avoiding(d, forbidden, trace)
+    if isinstance(got, (EulerianSubdigraph, NonStrongCut)):
+        bad = got.check(d, forbidden)
+        if bad:
+            raise ConstructionError(f"{type(got).__name__} failed validation: {bad}")
+    return got
+
+
+def _avoiding(
+    d: Digraph, forbidden: ArcSet, trace: list[str] | None
+) -> EulerianSubdigraph | ObstructionPartition | NonStrongCut | None:
+    """``spanning_eulerian_avoiding`` before its answer is checked."""
     if d.n <= 1:
         return EulerianSubdigraph(frozenset())
     rest = d.remove_arcs(forbidden)

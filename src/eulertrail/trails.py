@@ -58,9 +58,10 @@ class Trail:
         if not seq or seq[0] != x or seq[-1] != y:
             issues.append("endpoints do not match")
         arcs = self.arcs()
-        for a in arcs:
-            if not d.has_arc(*a):
-                issues.append(f"arc {a} is not in the digraph")
+        for u, v in arcs:
+            # an end outside 0..n-1 is no vertex, and has_arc cannot read it
+            if not (0 <= u < d.n and 0 <= v < d.n and d.has_arc(u, v)):
+                issues.append(f"arc {(u, v)} is not in the digraph")
         if len(set(arcs)) != len(arcs):
             issues.append("an arc repeats")
         if set(seq) != set(d.vertices()):
@@ -83,13 +84,14 @@ class EulerianSubdigraph:
         vertex is connected and balanced, so with n <= 1 the empty arc set
         is eulerian; from two vertices on every vertex must be covered."""
         issues: list[str] = []
-        outs = [0] * d.n
-        ins = [0] * d.n
-        near = [0] * d.n  # undirected bitmask rows of the arc set
+        n, out = d.n, d._out  # noqa: SLF001 - package-internal
+        outs = [0] * n
+        ins = [0] * n
+        near = [0] * n  # undirected bitmask rows of the arc set
         for u, v in self.arcs:
             # an end outside 0..n-1 is no vertex, though a negative one
             # would index these rows from the end
-            if not (0 <= u < d.n and 0 <= v < d.n and d.has_arc(u, v)):
+            if not (0 <= u < n and 0 <= v < n and out[u] >> v & 1):
                 return [f"arc ({u},{v}) is not in the digraph"]
             outs[u] += 1
             ins[v] += 1
@@ -97,14 +99,14 @@ class EulerianSubdigraph:
             near[v] |= 1 << u
         if not self.arcs.isdisjoint(avoid):
             issues.append("uses an avoided arc")
-        for v in d.vertices():
+        for v in range(n):
             if outs[v] != ins[v]:
                 issues.append(f"vertex {v} is unbalanced")
-            if outs[v] == 0 and d.n >= 2:
+            if outs[v] == 0 and n >= 2:
                 issues.append(f"vertex {v} is not covered")
         # every vertex is covered here, so one weak component means that
         # vertex 0 reaches them all
-        if not issues and d.n and _closure(near, 0) != (1 << d.n) - 1:
+        if not issues and n and _closure(near, 0) != (1 << n) - 1:
             issues.append("arc set is not connected")
         return issues
 
@@ -383,15 +385,24 @@ def _completion_case(
 
 def _accepted_trail(d: Digraph, arcs, x: int, y: int) -> Trail | None:
     """The candidate arcs as a spanning (x,y)-trail of d that keeps
-    ``spanning_trail``'s promise, or None when they are not one."""
+    ``spanning_trail``'s promise, or None when they are not one.  Past
+    ``arcs_to_trail``, one pass over the walk checks its steps against
+    d, its cover and the promise."""
     try:
         trail = arcs_to_trail(arcs, x, y)
     except ConstructionError:
         return None
+    out = d._out  # noqa: SLF001 - package-internal
+    seq = trail.vertices
     leaves = [0] * d.n
-    for v in trail.vertices[:-1]:
-        leaves[v] += 1
-    if trail.check(d, x, y) or (y, x) in arcs or max(leaves) > 2 or leaves[y] > 1:
+    reached = 1 << x
+    for u, v in zip(seq, seq[1:]):
+        # a head beyond n-1 reads as no arc here, and so never becomes a tail
+        if not out[u] >> v & 1 or leaves[u] == 2:
+            return None
+        leaves[u] += 1
+        reached |= 1 << v
+    if reached != (1 << d.n) - 1 or leaves[y] > 1 or (y, x) in arcs:
         return None
     return trail
 
@@ -475,21 +486,17 @@ def spanning_trail(
     """
     if not is_semicomplete(d):
         raise PreconditionError("spanning_trail requires a semicomplete digraph")
-    _require_endpoints(d, x, y)
+    if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
+        raise PreconditionError("x and y must be distinct vertices")
     if not is_strong(d):
         raise PreconditionError("spanning_trail requires a strong digraph")
     return _spanning_trail(d, x, y, trace)
 
 
-def _require_endpoints(d: Digraph, x: int, y: int) -> None:
-    if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
-        raise PreconditionError("x and y must be distinct vertices")
-
-
 def _spanning_trail(d: Digraph, x: int, y: int, trace: list[str] | None = None) -> Trail:
     """``spanning_trail`` for a d already known to be strong and
-    semicomplete; the endpoints and the two paths are still checked."""
-    _require_endpoints(d, x, y)
+    semicomplete and two distinct vertices of it; the two paths are
+    still checked."""
     if arc_connectivity(d) < 2:
         probe = arc_disjoint_paths(d, x, y, 2)
         if isinstance(probe, CutCertificate):

@@ -300,3 +300,14 @@ def test_classify_all_refuses_digraphs_it_cannot_classify() -> None:
     with pytest.raises(et.PreconditionError, match="strong"):
         et.classify_all(et.Digraph(3, [(0, 1), (1, 2), (0, 2)]))
     assert et.classify_all(et.Digraph(1, [])) == []
+
+
+def test_cut_row_refuses_a_cut_an_allowed_arc_crosses(monkeypatch) -> None:
+    d = three_cycle()
+    assert classify.classify_unavoidable(d, (0, 1)).cut_certificate.crossing_arcs == frozenset()
+    # consistent with d without (0, 1), but the allowed arc (1, 2) crosses it
+    crossed = et.CutCertificate(frozenset({1}), frozenset({0, 2}), frozenset({(1, 2)}))
+    assert crossed.check(d, frozenset({(0, 1)})) == []
+    monkeypatch.setattr(classify, "arc_connectivity_certificate", lambda rest: (0, crossed))
+    with pytest.raises(et.ConstructionError, match="cut certificate"):
+        classify.classify_unavoidable(d, (0, 1))

@@ -12,7 +12,7 @@ import random
 import pytest
 
 import eulertrail as et
-from eulertrail import cli
+from eulertrail import classify, cli, factor
 from eulertrail.cli import main, run_conjecture_search
 from eulertrail.digraph import MAX_VERTICES
 from instances import complete, strong_backward_chain, t4, three_cycle
@@ -458,3 +458,31 @@ def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeyp
     assert main(["avoid", k4, "--quiet"]) == 3
     assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
     assert payloads[-1] == {"certificate": None, "obstruction": None}
+
+
+def test_avoid_does_not_print_a_certificate_that_fails_its_check(tmp_path, capsys, monkeypatch):
+    d = complete(4)
+    everything = et.EulerianSubdigraph(frozenset(d.arcs()))  # uses the forbidden arc
+    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest, trace: everything)
+    path = _digraph_file(tmp_path, d)
+    first = _write(tmp_path, "first.json", "[[0, 1]]")
+    with pytest.raises(et.ConstructionError):
+        main(["avoid", path, "--arcs", first, "--quiet"])
+    assert capsys.readouterr().out == ""
+
+
+def test_classify_all_does_not_print_a_corrupted_containment_witness(
+    tmp_path, capsys, monkeypatch
+):
+    built = classify._trail_route_witness
+
+    def corrupted(d, arc):  # one arc short of the witness: unbalanced
+        witness = built(d, arc)
+        return witness - {min(witness - {arc})}
+
+    monkeypatch.setattr(classify, "_trail_route_witness", corrupted)
+    path = _digraph_file(tmp_path, complete(5))
+    for argv in (["classify", path, "--all"], ["classify", path, "--arc", "0", "1"]):
+        with pytest.raises(et.ConstructionError, match="failed validation"):
+            main(argv + ["--quiet"])
+        assert capsys.readouterr().out == ""

@@ -491,3 +491,50 @@ def test_closure_matches_the_generator_loop() -> None:
         for _ in range(4):
             within = rng.getrandbits(n)  # start may lie outside it
             assert _closure(rows, start, within) == _reference_closure(rows, start, within)
+
+
+def _set_cut_check(
+    cert: et.CutCertificate, d: et.Digraph, ignore: frozenset = frozenset()
+) -> list[str]:
+    """The reference ``CutCertificate.check``, on vertex and arc sets."""
+    s, t = set(cert.side_s), set(cert.side_t)
+    if s & t or s | t != set(d.vertices()) or not s or not t:
+        return ["sides do not partition the vertices"]
+    crossing = {(u, v) for u, v in d.arcs() if u in s and v in t and (u, v) not in ignore}
+    if crossing != set(cert.crossing_arcs):
+        return ["crossing arcs do not match the digraph"]
+    return []
+
+
+def test_cut_check_matches_the_set_based_reference() -> None:
+    """Random sides, overlapping, short of a vertex or holding ids outside
+    0..n-1 included, with the true crossing arcs, one dropped or one more."""
+    rng = random.Random(5)
+    reports: dict[str, int] = {}
+    for i in range(4000):
+        n = rng.randint(1, 8)
+        d = et.Digraph(n, [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < 0.6])
+        side_s = {v for v in range(n) if rng.random() < 0.5}
+        side_t = set(range(n)) - side_s
+        shape = rng.randrange(6)
+        if shape == 1:
+            side_t.add(rng.randrange(n))  # may overlap side_s
+        elif shape == 2 and n > 1:
+            (side_s if side_s else side_t).discard(rng.randrange(n))  # may miss a vertex
+        elif shape == 3:
+            rng.choice((side_s, side_t)).add(rng.choice((-2, -1, n, n + 3)))
+        ignore = frozenset(a for a in d.arcs() if rng.random() < 0.2)
+        crossing = {
+            (u, v) for u, v in d.arcs() if u in side_s and v in side_t and (u, v) not in ignore
+        }
+        if rng.random() < 0.2 and crossing:
+            crossing.discard(rng.choice(sorted(crossing)))
+        elif rng.random() < 0.2:
+            crossing.add(rng.choice(list(d.arcs()) or [(0, 0)]))
+        cert = et.CutCertificate(frozenset(side_s), frozenset(side_t), frozenset(crossing))
+        for skip in (ignore, frozenset()):
+            got = cert.check(d, skip)
+            assert got == _set_cut_check(cert, d, skip), (n, sorted(d.arcs()), cert, skip)
+            key = got[0] if got else "valid"
+            reports[key] = reports.get(key, 0) + 1
+    assert len(reports) == 3 and min(reports.values()) > 500, reports

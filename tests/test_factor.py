@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
+from eulertrail import factor
 from eulertrail.connectivity import shortest_walk
 from eulertrail.digraph import _mask_of
 from eulertrail.factor import (
@@ -364,6 +365,29 @@ def test_spanning_eulerian_avoiding_cut_obstruction() -> None:
     assert cert.side_s | cert.side_t == {0, 1, 2}
     # inside the allowed arcs nothing crosses the cut
     assert all(a == (0, 1) for a in cert.crossing_arcs) or not cert.crossing_arcs
+
+
+def test_non_strong_cut_check_refuses_a_cut_an_allowed_arc_crosses() -> None:
+    d = three_cycle()
+    # the sides partition the vertices and the crossing arcs match d, but
+    # (1, 2) is allowed, so the allowed arcs may still be strong
+    crossed = et.CutCertificate(frozenset({1}), frozenset({0, 2}), frozenset({(1, 2)}))
+    assert crossed.check(d) == []
+    assert et.NonStrongCut(crossed).check(d) == ["an allowed arc crosses the cut"]
+    cut = et.CutCertificate(frozenset({1}), frozenset({0, 2}), frozenset())
+    assert et.NonStrongCut(cut).check(d, frozenset({(1, 2)})) == []
+    assert et.NonStrongCut(cut).check(d) == ["crossing arcs do not match the digraph"]
+    result = et.spanning_eulerian_avoiding(d, frozenset({(0, 1)}))
+    assert result.check(d, frozenset({(0, 1)})) == []
+
+
+def test_spanning_eulerian_avoiding_checks_what_it_returns(monkeypatch) -> None:
+    d = complete(4)
+    everything = et.EulerianSubdigraph(frozenset(d.arcs()))  # uses (0, 1)
+    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest, trace: everything)
+    with pytest.raises(et.ConstructionError, match="avoided arc"):
+        et.spanning_eulerian_avoiding(d, frozenset({(0, 1)}))
+    assert et.spanning_eulerian_avoiding(d) == everything
 
 
 def test_spanning_eulerian_avoiding_partition_obstruction() -> None:

@@ -41,6 +41,11 @@ def test_validate_trail_flags_defects() -> None:
     assert any("cover" in issue for issue in short)
     missing = et.Trail((0, 2, 1)).check(three_cycle(), 0, 1)
     assert any("not in the digraph" in issue for issue in missing)
+    # ids outside 0..n-1 are reported, not read as bits or rows
+    below = et.Trail((0, 1, -1)).check(et.gen_d3(), 0, -1)
+    assert "arc (1, -1) is not in the digraph" in below
+    beyond = et.Trail((7, 0, 1, 2)).check(d, 7, 2)
+    assert "arc (7, 0) is not in the digraph" in beyond
 
 
 def test_validate_eulerian_subdigraph_flags_defects() -> None:
@@ -166,6 +171,74 @@ def test_ladder_rejects_a_candidate_leaving_a_vertex_three_times() -> None:
     assert _accepted_trail(d, y_twice, 0, 1) is None
     twice = {(0, 2), (2, 0), (0, 3), (3, 1)}  # 0-2-0-3-1 keeps the promise
     assert _accepted_trail(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
+
+
+def _two_pass_accepted_trail(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
+    """The reference acceptance: ``arcs_to_trail``, then ``Trail.check``
+    and the promise, each in its own pass."""
+    try:
+        trail = arcs_to_trail(arcs, x, y)
+    except et.ConstructionError:
+        return None
+    leaves = [0] * d.n
+    for v in trail.vertices[:-1]:
+        leaves[v] += 1
+    if trail.check(d, x, y) or (y, x) in arcs or max(leaves) > 2 or leaves[y] > 1:
+        return None
+    return trail
+
+
+def test_accepted_trail_matches_the_two_pass_reference_on_mutants() -> None:
+    d = complete(4)
+    kept = frozenset({(0, 2), (2, 0), (0, 3), (3, 1)})  # 0-2-0-3-1
+    cases = [
+        (d, kept, 0, 1, True),
+        (d.remove_arcs([(0, 3)]), kept, 0, 1, False),  # an arc not in d
+        (complete(5), kept, 0, 1, False),  # misses vertex 4
+        (d, {(0, 2), (2, 1), (1, 0), (0, 3), (3, 1)}, 0, 1, False),  # uses yx
+        (d, {(0, 2), (2, 0), (0, 3), (3, 0), (0, 1)}, 0, 1, False),  # 0 left three times
+        (d, {(0, 1), (1, 2), (2, 1), (1, 3), (3, 1)}, 0, 1, False),  # y left twice
+        (d, kept | {(2, 3)}, 0, 1, False),  # unbalanced
+        (d, kept, 0, 3, False),  # wrong endpoints
+        (d, kept, 2, 1, False),
+    ]
+    for host, arcs, x, y, accepted in cases:
+        got = _accepted_trail(host, arcs, x, y)
+        assert got == _two_pass_accepted_trail(host, arcs, x, y)
+        assert (got is not None) == accepted, (sorted(arcs), x, y)
+
+
+def test_accepted_trail_matches_the_two_pass_reference_on_random_walks() -> None:
+    """Random walks with distinct arcs in a complete digraph, judged in
+    that digraph or in a random semicomplete one on the same vertices,
+    between their own ends or two other vertices, and sometimes with one
+    arc more."""
+    rng = random.Random(13)
+    verdicts = {True: 0, False: 0}
+    for i in range(3000):
+        n = rng.randint(3, 6)
+        walk, used = [rng.randrange(n)], set()
+        for _ in range(rng.randint(2, 3 * n)):
+            u = walk[-1]
+            heads = [v for v in range(n) if v != u and (u, v) not in used]
+            if not heads:
+                break
+            v = rng.choice(heads)
+            used.add((u, v))
+            walk.append(v)
+        x, y = walk[0], walk[-1]
+        if x == y:
+            continue
+        host = complete(n) if rng.random() < 0.6 else random_strong_semicomplete(n, i)
+        arcs = set(used)
+        if rng.random() < 0.15:
+            arcs.add(rng.choice([a for a in host.arcs() if a not in arcs] or [(x, y)]))
+        if rng.random() < 0.15:
+            x, y = rng.sample(range(n), 2)
+        got = _accepted_trail(host, arcs, x, y)
+        assert got == _two_pass_accepted_trail(host, arcs, x, y), (n, sorted(arcs), x, y)
+        verdicts[got is not None] += 1
+    assert min(verdicts.values()) > 200, verdicts
 
 
 def test_spanning_trail_basic() -> None:
