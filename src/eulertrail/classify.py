@@ -9,8 +9,11 @@ digraph with the arc removed, and hands back either an obstruction
 partition or a witness avoiding the arc.
 
 ``classify_all`` classifies every arc of a digraph in one pass.  It
-checks the preconditions once, builds the containment witnesses arc by
-arc exactly as ``classify_containment`` does, and then certifies each
+checks the preconditions once.  On a 2-arc-strong digraph with at least
+four vertices, where the paper puts every arc in some spanning eulerian
+subdigraph, it covers the arcs with a few batch witnesses, each forcing
+many arcs at once; elsewhere it builds the containment witnesses arc by
+arc exactly as ``classify_containment`` does.  It then certifies each
 avoidable arc with the first validated witness that misses it: any
 spanning eulerian subdigraph without the arc proves it avoidable.  Only
 an arc that every witness so far contains costs a fresh
@@ -167,20 +170,22 @@ def _inner_path(d: Digraph, within: frozenset[int], a: int, b: int) -> list[int]
     return path
 
 
-def _trail_route_witness(d: Digraph, arc: Arc) -> frozenset[Arc]:
+def _trail_route_witness(d: Digraph, arc: Arc, linked: bool = False) -> frozenset[Arc]:
+    """The arc closed by a spanning (v,u)-trail; ``linked`` says that two
+    arc-disjoint (v,u)-paths are known to exist."""
     u, v = arc
-    trail = _spanning_trail(d, v, u)
+    trail = _spanning_trail(d, v, u, linked=linked)
     return frozenset(trail.arcs()) | {arc}
 
 
-def _forced_flow_witness(
-    d: Digraph, dec: Decomposition, arc: Arc
-) -> frozenset[Arc] | None:
-    """Complete the forced arcs (all backward ones plus this arc) to a
-    spanning eulerian subdigraph by a degree-bounded subgraph that
-    balances them."""
-    forced = set(dec.backward_arcs(d))
-    forced.add(arc)
+def _completed(d: Digraph, arcs: list[Arc], forced: set[Arc]) -> frozenset[Arc] | None:
+    """Complete the ``forced`` ones of d's ``arcs`` to a spanning eulerian
+    subdigraph, or None.
+
+    A degree-bounded subgraph of the other arcs balances the forced ones
+    and passes through every vertex no forced arc touches; ``_merge``
+    then joins its pieces without dropping a forced arc (a connected set
+    comes back unchanged).  The result is not checked here."""
     n = d.n
     # the picked arcs must make up the imbalance the forced arcs leave
     surplus = [0] * n
@@ -189,12 +194,21 @@ def _forced_flow_witness(
         surplus[b] += 1
     touched = {w for a in forced for w in a}
     lo = [0 if w in touched else 1 for w in range(n)]
-    rest = [a for a in d.arcs() if a not in forced]
+    rest = [a for a in arcs if a not in forced]
     picked, _, _ = degree_bounded_subgraph(n, rest, lo, [n] * n, surplus)
     if picked is None:
         return None
-    # a connected candidate comes back from _merge unchanged
     return _merge(d, forced.union(picked), frozenset(forced))
+
+
+def _forced_flow_witness(
+    d: Digraph, dec: Decomposition, arc: Arc
+) -> frozenset[Arc] | None:
+    """Complete the forced arcs (all backward ones plus this arc) to a
+    spanning eulerian subdigraph."""
+    forced = set(dec.backward_arcs(d))
+    forced.add(arc)
+    return _completed(d, list(d.arcs()), forced)
 
 
 def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
@@ -223,12 +237,10 @@ def _containment(d: Digraph, arc: Arc) -> ArcContainment:
     witness_arcs: frozenset[Arc] | None
     if tag == "backward":
         witness_arcs = _backward_witness(d, dec)
-    elif (
-        tag == "flat"
-        or arc_connectivity(d) >= 2
-        or isinstance(arc_disjoint_paths(d, v, u, 2), list)
-    ):
+    elif tag == "flat" or arc_connectivity(d) >= 2:
         witness_arcs = _trail_route_witness(d, arc)
+    elif isinstance(arc_disjoint_paths(d, v, u, 2), list):
+        witness_arcs = _trail_route_witness(d, arc, linked=True)
     else:
         witness_arcs = _forced_flow_witness(d, dec, arc)
         if witness_arcs is None:
@@ -396,14 +408,63 @@ def classify_all(d: Digraph) -> list[tuple[ArcContainment, ArcUnavoidability]]:
     """``classify_containment`` and ``classify_unavoidable`` of every arc,
     in ``d.arcs()`` order, with the preconditions checked once.
 
-    The containment answers are the per-arc ones.  The unavoidability
-    verdicts, cut certificates and partitions are the per-arc ones too;
-    an avoidable arc's witness is the first containment witness, in arc
-    order, that misses it, else the first avoidance witness built so far
-    that does, so one witness object may serve many rows.
+    The verdicts and bad patterns are the per-arc ones.  On a 2-arc-strong
+    digraph with at least four vertices the containment witnesses come
+    from batches (see ``_batch_containment``), so one validated witness
+    serves many arcs; elsewhere they are the per-arc ones.  The
+    unavoidability verdicts, cut certificates and partitions are the
+    per-arc ones too; an avoidable arc's witness is the first containment
+    witness, in arc order, that misses it, else the first avoidance
+    witness built so far that does, so one witness object may serve many
+    rows.
     """
     arcs = list(d.arcs())
     _require(d, arcs)
-    contained = [_containment(d, a) for a in arcs]
-    witnesses = [c.witness for c in contained if c.witness is not None]
+    contained = None
+    if d.n > 3 and arc_connectivity(d) >= 2:
+        contained = _batch_containment(d, arcs)
+    if contained is None:
+        contained = [_containment(d, a) for a in arcs]
+    witnesses = list(dict.fromkeys(c.witness for c in contained if c.witness is not None))
     return [(c, _unavoidability(d, c.arc, witnesses)) for c in contained]
+
+
+def _batch_containment(d: Digraph, arcs: list[Arc]) -> list[ArcContainment] | None:
+    """Containment answers for every arc of a 2-arc-strong d, n >= 4, with
+    few witnesses; None when some arc carries a bad label, which the paper
+    rules out there, so that the per-arc route answers for d.
+
+    Each round forces the uncovered arcs, in arc order, whose tail is not
+    yet a forced tail and whose head is not yet a forced head, completes
+    them by ``_completed`` and validates the result; every uncovered arc
+    it holds takes it as its witness.  When the completion finds nothing
+    the first uncovered arc gets its per-arc witness, which covers the
+    arcs it holds in the same way.
+    """
+    dec = nice_decomposition(d)
+    if any(_bad_label(d, dec, a) is not None for a in arcs):
+        return None
+    witness_of: dict[Arc, EulerianSubdigraph] = {}
+    uncovered = arcs
+    while uncovered:
+        forced: set[Arc] = set()
+        tails = heads = 0
+        for a, b in uncovered:
+            if not (tails >> a & 1 or heads >> b & 1):
+                forced.add((a, b))
+                tails |= 1 << a
+                heads |= 1 << b
+        got = _completed(d, arcs, forced)
+        if got is None:
+            sub = _containment(d, uncovered[0]).witness
+        else:
+            sub = EulerianSubdigraph(got)
+            bad = sub.check(d)
+            if bad or not forced <= got:
+                raise ConstructionError(
+                    f"batch witness for {sorted(forced)} failed validation: {bad}"
+                )
+        for a in sub.arcs:
+            witness_of.setdefault(a, sub)
+        uncovered = [a for a in uncovered if a not in witness_of]
+    return [ArcContainment(a, True, None, witness_of[a]) for a in arcs]

@@ -88,28 +88,40 @@ def _digraph_json(d: Digraph) -> dict:
 
 
 _scalar_json = json.JSONEncoder().encode
+_CONSTANTS = {None: "null", True: "true", False: "false"}
 
 
 def _json_text(payload) -> str:
     """``json.dumps(payload, indent=2, sort_keys=True)``, built faster.
 
     Any ``indent`` sends ``json.dumps`` to the pure-Python encoder.  Here
-    scalars and keys go through the C encoder, a list of ``[int, int]``
-    pairs is filled into one template per pair, and each list's text is
-    built once per depth: rows that share a witness list share its text.
-    Keys must be strings.  Lists are keyed by ``id``, which stays unique
-    while ``payload`` holds them.
+    ``None``, bools and plain ints are written directly, other scalars go
+    through the C encoder, each key's text is built once, a list of
+    ``[int, int]`` pairs is filled into one template per pair, and each
+    list's text is built once per depth: rows that share a witness list
+    share its text.  Keys must be strings.  Lists are keyed by ``id``,
+    which stays unique while ``payload`` holds them.
     """
     memo: dict[tuple[int, int], str] = {}
+    keys: dict[str, str] = {}
+
+    def key_text(k: str) -> str:
+        got = keys.get(k)
+        if got is None:
+            got = keys[k] = _scalar_json(k) + ": "
+        return got
 
     def text(obj, depth: int) -> str:
+        kind = type(obj)
+        if kind is int:
+            return str(obj)
+        if obj is None or kind is bool:
+            return _CONSTANTS[obj]
         if isinstance(obj, dict):
             if not obj:
                 return "{}"
             inner = "\n" + "  " * (depth + 1)
-            items = (
-                _scalar_json(k) + ": " + text(v, depth + 1) for k, v in sorted(obj.items())
-            )
+            items = (key_text(k) + text(v, depth + 1) for k, v in sorted(obj.items()))
             return "{" + inner + ("," + inner).join(items) + "\n" + "  " * depth + "}"
         if isinstance(obj, (list, tuple)):
             key = (id(obj), depth)
@@ -300,7 +312,7 @@ def cmd_trail(args: argparse.Namespace) -> int:
         _say(args, f"no two arc-disjoint paths {x}->{y}: cut of size {len(probe.crossing_arcs)}")
         _emit({"trail": None, "cut": _cut_json(probe)})
         return EXIT_OBSTRUCTION
-    trail = _spanning_trail(d, x, y)
+    trail = _spanning_trail(d, x, y, linked=True)
     _say(args, f"spanning trail {x}->{y} with {len(trail.vertices) - 1} arcs")
     _emit({"trail": list(trail.vertices), "cut": None})
     return EXIT_CERTIFICATE

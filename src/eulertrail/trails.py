@@ -493,11 +493,13 @@ def spanning_trail(
     return _spanning_trail(d, x, y, trace)
 
 
-def _spanning_trail(d: Digraph, x: int, y: int, trace: list[str] | None = None) -> Trail:
+def _spanning_trail(
+    d: Digraph, x: int, y: int, trace: list[str] | None = None, linked: bool = False
+) -> Trail:
     """``spanning_trail`` for a d already known to be strong and
-    semicomplete and two distinct vertices of it; the two paths are
-    still checked."""
-    if arc_connectivity(d) < 2:
+    semicomplete and two distinct vertices of it.  The two paths are
+    still checked unless the caller found them and says so by ``linked``."""
+    if not linked and arc_connectivity(d) < 2:
         probe = arc_disjoint_paths(d, x, y, 2)
         if isinstance(probe, CutCertificate):
             raise PreconditionError(

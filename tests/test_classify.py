@@ -207,12 +207,25 @@ def test_classification_agrees_with_oracle(n: int, seed: int) -> None:
 # ---- classify_all ----
 
 
-def _assert_classify_all_matches_per_arc(d: et.Digraph) -> None:
+def _assert_classify_all_matches_per_arc(
+    d: et.Digraph,
+) -> list[tuple[et.ArcContainment, et.ArcUnavoidability]]:
     pairs = et.classify_all(d)
     assert [cont.arc for cont, _ in pairs] == list(d.arcs())
+    # a 2-arc-strong digraph on four or more vertices gets batch witnesses:
+    # the verdicts are the per-arc ones, the witnesses any checked one
+    # holding the arc
+    batched = d.n > 3 and et.arc_connectivity(d) >= 2
     for cont, unav in pairs:
         arc = cont.arc
-        assert cont == et.classify_containment(d, arc)
+        per_arc = et.classify_containment(d, arc)
+        if batched:
+            assert (cont.arc, cont.in_some, cont.obstruction) == (
+                per_arc.arc, per_arc.in_some, per_arc.obstruction,
+            )
+            assert_witness(d, cont)
+        else:
+            assert cont == per_arc
         alone = et.classify_unavoidable(d, arc)
         assert unav.arc == arc
         assert (unav.unavoidable, unav.kind, unav.cut_certificate, unav.partition) == (
@@ -221,6 +234,7 @@ def _assert_classify_all_matches_per_arc(d: et.Digraph) -> None:
         assert (unav.avoidance_witness is None) == (alone.avoidance_witness is None)
         if unav.avoidance_witness is not None:
             assert unav.avoidance_witness.check(d, frozenset((arc,))) == []
+    return pairs
 
 
 def test_classify_all_matches_per_arc_on_the_exhaustive_pool() -> None:
@@ -236,6 +250,35 @@ def test_classify_all_matches_per_arc_on_chains_and_dense_digraphs() -> None:
     for n in range(5, 15):
         _assert_classify_all_matches_per_arc(strong_backward_chain(n, rng))
         _assert_classify_all_matches_per_arc(random_strong_semicomplete(n, rng.randrange(1 << 30)))
+
+
+def _two_arc_strong(n: int, two_cycle_prob: float, rng: random.Random) -> et.Digraph:
+    while True:
+        d = et.gen_random_semicomplete(n, two_cycle_prob, rng.randrange(1 << 30))
+        if et.arc_connectivity(d) >= 2:
+            return d
+
+
+def test_classify_all_batches_give_the_per_arc_verdicts() -> None:
+    rng = random.Random(14)
+    for n in range(4, 26, 3):
+        # tournaments are 2-arc-strong only from five vertices on, rarely below ten
+        for two_cycle_prob in (0.0, 0.3, 0.8) if n >= 10 else (0.5, 0.8):
+            pairs = _assert_classify_all_matches_per_arc(_two_arc_strong(n, two_cycle_prob, rng))
+            if n >= 10:
+                assert len({cont.witness for cont, _ in pairs}) < len(pairs) / 2
+
+
+def test_classify_all_covers_missed_batches_with_per_arc_witnesses(monkeypatch) -> None:
+    monkeypatch.setattr(classify, "_completed", lambda d, arcs, forced: None)
+    rng = random.Random(5)
+    for n in (4, 9, 16):
+        d = _two_arc_strong(n, 0.3, rng)
+        per_arc = {et.classify_containment(d, a).witness for a in d.arcs()}
+        pairs = et.classify_all(d)
+        for cont, _ in pairs:
+            assert_witness(d, cont)
+            assert cont.witness in per_arc
 
 
 def _recording(monkeypatch) -> list:

@@ -12,10 +12,10 @@ import random
 import pytest
 
 import eulertrail as et
-from eulertrail import classify, cli, factor
+from eulertrail import classify, cli, factor, trails
 from eulertrail.cli import main, run_conjecture_search
 from eulertrail.digraph import MAX_VERTICES
-from instances import complete, strong_backward_chain, t4, three_cycle
+from instances import complete, random_strong_semicomplete, strong_backward_chain, t4, three_cycle
 
 
 def _write(tmp_path, name, text):
@@ -213,6 +213,27 @@ def test_trail_cut_obstruction(tmp_path, capsys):
     }
 
 
+def test_trail_and_forward_arc_witness_probe_their_pair_once(tmp_path, capsys, monkeypatch):
+    d = random_strong_semicomplete(8, 224)
+    assert et.arc_connectivity(d) == 1
+    assert et.nice_decomposition(d).arc_tag((4, 0)) == "forward"
+    probes = []
+    real = et.arc_disjoint_paths
+
+    def counted(host, x, y, k):
+        probes.append((host._out, x, y))
+        return real(host, x, y, k)
+
+    for module in (cli, classify, trails):
+        monkeypatch.setattr(module, "arc_disjoint_paths", counted)
+    path = _digraph_file(tmp_path, d)
+    assert main(["trail", path, "--from", "0", "--to", "4", "--quiet"]) == 0
+    assert probes.count((d._out, 0, 4)) == 1
+    probes.clear()
+    assert et.classify_containment(d, (4, 0)).in_some  # by a spanning (0,4)-trail
+    assert probes.count((d._out, 0, 4)) == 1
+
+
 def test_trail_rejects_bad_endpoints(tmp_path, capsys):
     path = _digraph_file(tmp_path, three_cycle())
     assert main(["trail", path, "--from", "0", "--to", "0"]) == 1
@@ -393,7 +414,9 @@ def _random_payload(rng, depth=0):
     corner cases of the pair path: bools in pairs and mixed-length lists."""
     roll = rng.random()
     if depth > 3 or roll < 0.3:
-        return rng.choice([0, -7, 42, True, False, None, "", 'say "hi"', "é☃\n\\", "arc"])
+        return rng.choice([
+            0, -7, 42, -(1 << 70), True, False, None, 2.5, -0.0, "", 'say "hi"', "é☃\n\\", "arc"
+        ])
     if roll < 0.45:
         return [[rng.randint(-3, 120), rng.randint(0, 9)] for _ in range(rng.randint(0, 5))]
     if roll < 0.55:
@@ -474,15 +497,25 @@ def test_avoid_does_not_print_a_certificate_that_fails_its_check(tmp_path, capsy
 def test_classify_all_does_not_print_a_corrupted_containment_witness(
     tmp_path, capsys, monkeypatch
 ):
+    path = _digraph_file(tmp_path, complete(5))
     built = classify._trail_route_witness
 
-    def corrupted(d, arc):  # one arc short of the witness: unbalanced
-        witness = built(d, arc)
+    def corrupted(d, arc, linked=False):  # one arc short of the witness: unbalanced
+        witness = built(d, arc, linked)
         return witness - {min(witness - {arc})}
 
     monkeypatch.setattr(classify, "_trail_route_witness", corrupted)
-    path = _digraph_file(tmp_path, complete(5))
-    for argv in (["classify", path, "--all"], ["classify", path, "--arc", "0", "1"]):
-        with pytest.raises(et.ConstructionError, match="failed validation"):
-            main(argv + ["--quiet"])
-        assert capsys.readouterr().out == ""
+    with pytest.raises(et.ConstructionError, match="failed validation"):
+        main(["classify", path, "--arc", "0", "1", "--quiet"])
+    assert capsys.readouterr().out == ""
+    # --all covers complete(5) with batch witnesses
+    completed = classify._completed
+
+    def short(d, arcs, forced):
+        got = completed(d, arcs, forced)
+        return got - {min(got - forced)}
+
+    monkeypatch.setattr(classify, "_completed", short)
+    with pytest.raises(et.ConstructionError, match="failed validation"):
+        main(["classify", path, "--all", "--quiet"])
+    assert capsys.readouterr().out == ""
