@@ -2,7 +2,12 @@
 subdigraph, and membership in all of them.
 
 The containment side labels an arc good or bad from the digraph's nice
-decomposition and, for good arcs, constructs an explicit witness.  The
+decomposition and, for good arcs, constructs an explicit witness by one
+of two routes.  A flat arc, or any arc of a 2-arc-strong digraph, closes
+a spanning trail from its head to its tail.  Every other good arc is
+forced together with the backward arcs and completed by a degree-bounded
+subgraph and merging (``_completed``); on up to three vertices, where no
+decomposition theory applies, that completion alone decides the arc.  The
 unavoidability side recognizes the arcs no spanning eulerian subdigraph
 can skip, via the cut-arc test and a neighborhood comparison in the
 digraph with the arc removed, and hands back either an obstruction
@@ -29,10 +34,8 @@ from .connectivity import (
     CutCertificate,
     arc_connectivity,
     arc_connectivity_certificate,
-    arc_disjoint_paths,
     cut_arcs,
     is_strong,
-    shortest_walk,
 )
 from .decomposition import (
     Decomposition,
@@ -40,11 +43,10 @@ from .decomposition import (
     natural_backward_ordering,
     nice_decomposition,
 )
-from .digraph import Arc, Digraph, _mask_of, is_semicomplete, require_arcs
+from .digraph import Arc, Digraph, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, _merge, spanning_eulerian_avoiding
 from ._flow import degree_bounded_subgraph
-from .hamilton import _component_path, _path_between
 from .trails import EulerianSubdigraph, _spanning_trail
 
 
@@ -81,20 +83,6 @@ def _require(d: Digraph, arcs: list[Arc]) -> None:
 # ---- containment ----
 
 
-def _tiny_witness(d: Digraph, arc: Arc) -> EulerianSubdigraph | None:
-    """Definitional subset sweep for n <= 3 (no structural theory there)."""
-    arcs = list(d.arcs())
-    m = len(arcs)
-    for mask in range(1, 1 << m):
-        chosen = [arcs[i] for i in range(m) if mask >> i & 1]
-        if arc not in chosen:
-            continue
-        sub = EulerianSubdigraph(frozenset(chosen))
-        if not sub.check(d):
-            return sub
-    return None
-
-
 def _bad_label(d: Digraph, dec: Decomposition, arc: Arc) -> str | None:
     u, v = arc
     tag = dec.arc_tag(arc)
@@ -126,55 +114,10 @@ def _bad_label(d: Digraph, dec: Decomposition, arc: Arc) -> str | None:
     return None
 
 
-def _backward_witness(d: Digraph, dec: Decomposition) -> frozenset[Arc]:
-    """Hamiltonian cycle through every backward arc.
-
-    The backward arcs chain into a path across the decomposition via
-    their interleaving; extending it through the first and last sets
-    leaves a remainder whose ends dominate everything, so a hamiltonian
-    path closes the cycle.
-    """
-    order = natural_backward_ordering(dec, d)
-    seq = [order[0][0], order[0][1]]
-    for j in range(len(order) - 1):
-        t_j = order[j][1]
-        s_next, t_next = order[j + 1]
-        if t_j != s_next:
-            if dec.position(t_j) == dec.position(s_next):
-                seq.extend(_inner_path(d, dec.sets[dec.position(t_j)], t_j, s_next)[1:])
-            else:
-                seq.append(s_next)
-        seq.append(t_next)
-    first_piece = _component_path(d, _mask_of(dec.sets[-1]), end=seq[0])
-    last_piece = _component_path(d, _mask_of(dec.sets[0]), start=seq[-1])
-    q1 = first_piece + seq[1:-1] + last_piece
-    q1_arcs = {(q1[i], q1[i + 1]) for i in range(len(q1) - 1)}
-    internals = _mask_of(q1[1:-1])
-    # with internals, every arc of q1 leaves the remainder; without, q1 is
-    # the lone backward arc between two singleton sets, and dropping it
-    # leaves the decomposition sets as the strong components in order
-    rest = d if internals else d.remove_arcs(sorted(q1_arcs))
-    q2 = _path_between(rest, (1 << d.n) - 1 & ~internals, q1[-1], q1[0])
-    arcs = set(q1_arcs)
-    arcs |= {(q2[i], q2[i + 1]) for i in range(len(q2) - 1)}
-    return frozenset(arcs)
-
-
-def _inner_path(d: Digraph, within: frozenset[int], a: int, b: int) -> list[int]:
-    """Shortest path from a to b inside one induced strong set."""
-    path = shortest_walk(
-        lambda v: (w for w in d.out_neighbors(v) if w in within), [a], {b}
-    )
-    if path is None:
-        raise ConstructionError("no path inside a strong set")
-    return path
-
-
-def _trail_route_witness(d: Digraph, arc: Arc, linked: bool = False) -> frozenset[Arc]:
-    """The arc closed by a spanning (v,u)-trail; ``linked`` says that two
-    arc-disjoint (v,u)-paths are known to exist."""
+def _trail_route_witness(d: Digraph, arc: Arc) -> frozenset[Arc]:
+    """The arc closed by a spanning (v,u)-trail."""
     u, v = arc
-    trail = _spanning_trail(d, v, u, linked=linked)
+    trail = _spanning_trail(d, v, u)
     return frozenset(trail.arcs()) | {arc}
 
 
@@ -205,7 +148,12 @@ def _forced_flow_witness(
     d: Digraph, dec: Decomposition, arc: Arc
 ) -> frozenset[Arc] | None:
     """Complete the forced arcs (all backward ones plus this arc) to a
-    spanning eulerian subdigraph."""
+    spanning eulerian subdigraph.
+
+    Forcing the backward arcs loses no witness: in a nice decomposition
+    they are exactly the cut arcs, and every spanning eulerian subdigraph
+    holds every cut arc, since removing one leaves d without a strong
+    spanning subdigraph."""
     forced = set(dec.backward_arcs(d))
     forced.add(arc)
     return _completed(d, list(d.arcs()), forced)
@@ -216,37 +164,33 @@ def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
 
     Good arcs come back with a validated witness; bad arcs carry the
     pattern that blocks them.  Digraphs on up to three vertices have no
-    decomposition theory and are settled by direct enumeration.
+    decomposition theory: the arc is good exactly when ``_completed``
+    extends it to a spanning eulerian subdigraph, else "small-case".
     """
     _require(d, [arc])
     return _containment(d, arc)
 
 
 def _containment(d: Digraph, arc: Arc) -> ArcContainment:
-    if d.n <= 3:
-        witness = _tiny_witness(d, arc)
-        if witness is None:
-            return ArcContainment(arc, False, "small-case", None)
-        return ArcContainment(arc, True, None, witness)
-    dec = nice_decomposition(d)
-    label = _bad_label(d, dec, arc)
-    if label is not None:
-        return ArcContainment(arc, False, label, None)
-    tag = dec.arc_tag(arc)
-    u, v = arc
     witness_arcs: frozenset[Arc] | None
-    if tag == "backward":
-        witness_arcs = _backward_witness(d, dec)
-    elif tag == "flat" or arc_connectivity(d) >= 2:
-        witness_arcs = _trail_route_witness(d, arc)
-    elif isinstance(arc_disjoint_paths(d, v, u, 2), list):
-        witness_arcs = _trail_route_witness(d, arc, linked=True)
-    else:
-        witness_arcs = _forced_flow_witness(d, dec, arc)
+    if d.n <= 3:
+        # exact on this finite class: test_completion_decides_every_arc_up_to_three_vertices
+        witness_arcs = _completed(d, list(d.arcs()), {arc})
         if witness_arcs is None:
-            witness_arcs = _oracle_witness(d, arc)
-    if witness_arcs is None:
-        raise ConstructionError(f"no witness construction succeeded for {arc}")
+            return ArcContainment(arc, False, "small-case", None)
+    else:
+        dec = nice_decomposition(d)
+        label = _bad_label(d, dec, arc)
+        if label is not None:
+            return ArcContainment(arc, False, label, None)
+        if dec.arc_tag(arc) == "flat" or arc_connectivity(d) >= 2:
+            witness_arcs = _trail_route_witness(d, arc)
+        else:
+            witness_arcs = _forced_flow_witness(d, dec, arc)
+            if witness_arcs is None:
+                witness_arcs = _oracle_witness(d, arc)
+        if witness_arcs is None:
+            raise ConstructionError(f"no witness construction succeeded for {arc}")
     sub = EulerianSubdigraph(witness_arcs)
     bad = sub.check(d)
     if bad or arc not in witness_arcs:

@@ -39,26 +39,14 @@ def _require_semicomplete(d: Digraph) -> None:
 
 
 def hamiltonian_path(d: Digraph) -> list[int]:
-    """Hamiltonian path of a semicomplete digraph by vertex insertion."""
+    """Hamiltonian path of a semicomplete digraph, from the smallest vertex
+    of its first strong component."""
     _require_semicomplete(d)
     if d.n == 0:
         raise PreconditionError("hamiltonian_path requires at least one vertex")
-    path = [0]
-    for v in range(1, d.n):
-        if d.has_arc(v, path[0]):
-            path.insert(0, v)
-            continue
-        if d.has_arc(path[-1], v):
-            path.append(v)
-            continue
-        # path[0] -> v and v -> path[-1], so the direction flips somewhere
-        for i in range(len(path) - 1):
-            if d.has_arc(path[i], v) and d.has_arc(v, path[i + 1]):
-                path.insert(i + 1, v)
-                break
-        else:
-            raise ConstructionError("no insertion point in a semicomplete digraph")
-    return path
+    full = (1 << d.n) - 1
+    first = _components(d, full)[0]
+    return _path_between(d, full, (first & -first).bit_length() - 1)
 
 
 def _shortest_cycle_seed(d: Digraph, within: int) -> list[int]:

@@ -48,6 +48,22 @@ def test_three_cycle_arcs_are_all_good() -> None:
         assert_witness(three_cycle(), cont)
 
 
+def test_completion_decides_every_arc_up_to_three_vertices() -> None:
+    pool = [d for n in (2, 3) for d in enumerate_all_semicomplete(n) if et.is_strong(d)]
+    checked = 0
+    for d in pool:
+        union = frozenset().union(*all_spanning_eulerian(d))
+        for arc in d.arcs():
+            cont = et.classify_containment(d, arc)
+            assert cont.in_some == (arc in union), (d.arcs(), arc)
+            if cont.in_some:
+                assert_witness(d, cont)
+            else:
+                assert cont.obstruction == "small-case"
+            checked += 1
+    assert checked == 68
+
+
 def test_t4_backward_arc_witness() -> None:
     cont = et.classify_containment(t4(), (2, 3))
     assert cont.in_some

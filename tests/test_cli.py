@@ -213,7 +213,9 @@ def test_trail_cut_obstruction(tmp_path, capsys):
     }
 
 
-def test_trail_and_forward_arc_witness_probe_their_pair_once(tmp_path, capsys, monkeypatch):
+def test_trail_probes_its_pair_once_and_forward_arc_witness_not_at_all(
+    tmp_path, capsys, monkeypatch
+):
     d = random_strong_semicomplete(8, 224)
     assert et.arc_connectivity(d) == 1
     assert et.nice_decomposition(d).arc_tag((4, 0)) == "forward"
@@ -224,14 +226,14 @@ def test_trail_and_forward_arc_witness_probe_their_pair_once(tmp_path, capsys, m
         probes.append((host._out, x, y))
         return real(host, x, y, k)
 
-    for module in (cli, classify, trails):
+    for module in (cli, trails):
         monkeypatch.setattr(module, "arc_disjoint_paths", counted)
     path = _digraph_file(tmp_path, d)
     assert main(["trail", path, "--from", "0", "--to", "4", "--quiet"]) == 0
     assert probes.count((d._out, 0, 4)) == 1
     probes.clear()
-    assert et.classify_containment(d, (4, 0)).in_some  # by a spanning (0,4)-trail
-    assert probes.count((d._out, 0, 4)) == 1
+    assert et.classify_containment(d, (4, 0)).in_some  # by the forced completion
+    assert probes.count((d._out, 0, 4)) == 0
 
 
 def test_trail_rejects_bad_endpoints(tmp_path, capsys):
@@ -500,8 +502,8 @@ def test_classify_all_does_not_print_a_corrupted_containment_witness(
     path = _digraph_file(tmp_path, complete(5))
     built = classify._trail_route_witness
 
-    def corrupted(d, arc, linked=False):  # one arc short of the witness: unbalanced
-        witness = built(d, arc, linked)
+    def corrupted(d, arc):  # one arc short of the witness: unbalanced
+        witness = built(d, arc)
         return witness - {min(witness - {arc})}
 
     monkeypatch.setattr(classify, "_trail_route_witness", corrupted)
