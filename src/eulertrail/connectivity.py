@@ -145,12 +145,15 @@ def strong_components(d: Digraph) -> list[frozenset[int]]:
 def cut_arcs(d: Digraph) -> frozenset[Arc]:
     """Arcs whose single removal breaks strongness.  Requires a strong input.
 
-    An arc (u,v) of a strong digraph is a cut arc iff v is unreachable from u
-    once the arc itself is dropped: any other broken pair could reroute
-    through a surviving u-to-v path.
+    A 2-arc-strong digraph has none, which the cached arc-connectivity
+    tells at once.  Otherwise an arc (u,v) is a cut arc iff v is
+    unreachable from u once the arc itself is dropped: any other broken
+    pair could reroute through a surviving u-to-v path.
     """
     if not is_strong(d):
         raise PreconditionError("cut_arcs requires a strong digraph")
+    if arc_connectivity(d) >= 2:
+        return frozenset()
     out = d._out  # noqa: SLF001
     result: set[Arc] = set()
     for u, v in d.arcs():

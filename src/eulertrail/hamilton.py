@@ -9,11 +9,17 @@ The constructions run on a vertex subset given as a bitmask over the
 parent digraph's rows, in the parent's vertex ids, and trust their
 caller to hold a semicomplete (where needed, strong) subset.  The public
 functions check that once; callers that already hold one call them.
+
+The hamiltonian cycle of a vertex set is memoised by ``_cached_cycle``,
+an ``lru_cache`` keyed by (digraph, vertex mask), so the trail ladder
+builds each one once over all the vertex pairs of a digraph.  Callers
+hand out fresh lists of it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .connectivity import _components, _strong, is_strong, shortest_walk
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
@@ -112,14 +118,25 @@ def _cycle(d: Digraph, within: int) -> list[int]:
     return cycle
 
 
+@lru_cache(maxsize=1024)
+def _cached_cycle(d: Digraph, within: int) -> tuple[int, ...] | None:
+    """``_cycle`` of the semicomplete set ``within`` (two or more
+    vertices), or None when the set does not induce a strong subdigraph.
+    The tuple is shared by every caller, so none may change it."""
+    if not _strong(d, within):
+        return None
+    return tuple(_cycle(d, within))
+
+
 def hamiltonian_cycle(d: Digraph) -> list[int]:
     """Hamiltonian cycle of a strong semicomplete digraph (n >= 2)."""
     _require_semicomplete(d)
     if d.n < 2:
         raise PreconditionError("hamiltonian_cycle requires n >= 2")
-    if not is_strong(d):
+    cycle = _cached_cycle(d, (1 << d.n) - 1)
+    if cycle is None:
         raise PreconditionError("hamiltonian_cycle requires a strong digraph")
-    return _cycle(d, (1 << d.n) - 1)
+    return list(cycle)
 
 
 def _component_path(
@@ -129,7 +146,7 @@ def _component_path(
     start or end vertex."""
     if comp & (comp - 1) == 0:
         return [comp.bit_length() - 1]
-    cyc = _cycle(d, comp)
+    cyc = list(_cached_cycle(d, comp))
     if start is not None:
         i = cyc.index(start)
         return cyc[i:] + cyc[:i]
@@ -211,7 +228,8 @@ def hamiltonian_path_between(d: Digraph, x: int, y: int | None = None) -> list[i
 def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
     """``cycle_covering_complement`` on trusted input: ``core`` is the mask
     of the vertices outside V(f) plus z, h is d minus A(f) and strong, and
-    every two core vertices are adjacent."""
+    every two core vertices are adjacent.  Of d only the arcs inside the
+    core are read, so any digraph with those arcs serves as d."""
     if core & (core - 1) == 0:
         # degenerate: a shortest cycle through z in h
         z = core.bit_length() - 1
@@ -219,9 +237,10 @@ def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
         if cycle is None:
             raise ConstructionError("no cycle through z in a strong digraph")
         return cycle[:-1]
+    cycle = _cached_cycle(d, core)
+    if cycle is not None:
+        return list(cycle)
     comps = _components(d, core)
-    if len(comps) == 1:
-        return _cycle(d, core)
     # shortest path in h from the in-generator side back to the out-generator
     # side: it runs from a last-component vertex to a first-component one
     patch = shortest_walk(h.out_neighbors, _mask_bits(comps[-1]), set(_mask_bits(comps[0])))

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import os
 import random
+from functools import lru_cache
 from itertools import combinations
 
 from .digraph import Arc, Digraph
@@ -274,25 +275,18 @@ def oracle_eulerian_factor(
 
 # ---- exhaustive enumeration with caching ----
 
-_ALL_SES_CACHE: dict[tuple[int, tuple[Arc, ...]], tuple[frozenset[Arc], ...]] = {}
 
-
+@lru_cache(maxsize=1024)
 def all_spanning_eulerian(d: Digraph) -> tuple[frozenset[Arc], ...]:
     """Every spanning eulerian subdigraph of d, memoized per digraph, in
     increasing order of the mask of their arc indices in ``d.arcs()``."""
-    key = (d.n, tuple(d.arcs()))
-    hit = _ALL_SES_CACHE.get(key)
-    if hit is not None:
-        return hit
-    index = {arc: i for i, arc in enumerate(key[1])}
-    out = tuple(
+    index = {arc: i for i, arc in enumerate(d.arcs())}
+    return tuple(
         sorted(
             enumerate_spanning_eulerian(d),
             key=lambda sub: sum(1 << index[arc] for arc in sub),
         )
     )
-    _ALL_SES_CACHE[key] = out
-    return out
 
 
 def enumerate_all_tournaments(n: int):

@@ -27,7 +27,7 @@ from .connectivity import (
 )
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
-from .hamilton import _covering_cycle, _cycle, _path_between, hamiltonian_cycle
+from .hamilton import _cached_cycle, _covering_cycle, _cycle, _path_between
 from ._flow import degree_bounded_subgraph
 
 @dataclass(frozen=True)
@@ -237,24 +237,31 @@ def _note(trace: list[str] | None, tag: str) -> None:
 
 
 def _direct_arc_case(
-    d: Digraph, x: int, y: int, trace: list[str] | None
+    d: Digraph, x: int, y: int, two_strong: bool, trace: list[str] | None
 ) -> frozenset[Arc] | None:
-    """Cases where xy is an arc: one covering cycle plus the arc itself."""
+    """Cases where xy is an arc: one covering cycle plus the arc itself.
+
+    ``two_strong`` says that d is known to be 2-arc-strong.  Then h = d
+    minus xy and yx is strong without a test: a directed cut of d holds
+    at least two arcs, and at most one of xy and yx."""
     d0 = d.remove_arcs([(y, x)]) if d.has_arc(y, x) else d
     h = d0.remove_arcs([(x, y)])
-    if is_strong(h):
-        # the cycle avoids xy and covers every vertex but y
+    if two_strong or is_strong(h):
+        # the cycle avoids xy and covers every vertex but y; the core
+        # misses y, so d has the core arcs of d0 and its memo serves
         _note(trace, "direct-arc-covering-cycle")
-        cyc = _covering_cycle(d0, h, (1 << d.n) - 1 & ~(1 << y))
+        cyc = _covering_cycle(d, h, (1 << d.n) - 1 & ~(1 << y))
         arcs = set(_cycle_arcs(cyc))
         arcs.add((x, y))
         return frozenset(arcs)
     # removing xy keeps d strong (the second disjoint path reroutes), and
     # yx is a cut arc there, so every hamiltonian cycle must traverse it;
-    # without yx, d minus xy is not semicomplete, and the check refuses it
+    # without yx, d minus xy is not semicomplete and no cycle is sought.
+    # d minus xy is built per pair, so its cycle skips the memo.
     _note(trace, "direct-arc-ham-cycle")
-    dstar = d.remove_arcs([(x, y)])
-    cyc = hamiltonian_cycle(dstar)
+    if not d.has_arc(y, x):
+        return None
+    cyc = _cycle(d.remove_arcs([(x, y)]), (1 << d.n) - 1)
     arcs = set(_cycle_arcs(cyc))
     if (y, x) not in arcs:
         return None
@@ -282,9 +289,10 @@ def _split_case(
     h = dprime.remove_arcs(p1_arcs)
     full = (1 << d.n) - 1
     if is_strong(h):
-        # the cycle avoids p1's arcs and covers every vertex off p1, plus x
+        # the cycle avoids p1's arcs and covers every vertex off p1, plus x;
+        # y lies on p1, so d has the core arcs of dprime
         _note(trace, "path-plus-covering-cycle")
-        cyc = _covering_cycle(dprime, h, full & ~_mask_of(p1) | 1 << x)
+        cyc = _covering_cycle(d, h, full & ~_mask_of(p1) | 1 << x)
         return frozenset(set(_cycle_arcs(cyc)) | set(p1_arcs))
     comps = _components(h, full)
     tail = comps[-1]
@@ -294,7 +302,7 @@ def _split_case(
     if head >> x & 1 and head >> y & 1 and allow_mirror:
         _note(trace, "mirrored")
         rev = d.reverse()
-        got = _ladder_trail(rev, y, x, allow_mirror=False, trace=trace)
+        got = _ladder_trail(rev, y, x, allow_mirror=False, two_strong=False, trace=trace)
         if got is None:
             return None
         return frozenset((b, a) for a, b in got.arcs())
@@ -338,7 +346,7 @@ def _absorb_head_side(
     if not isinstance(arc_disjoint_paths(aug, xl, yl, 2), list):
         return None
     _note(trace, "sink-side-recursion")
-    inner = _ladder_trail(aug, xl, yl, allow_mirror=True, trace=trace)
+    inner = _ladder_trail(aug, xl, yl, allow_mirror=True, two_strong=False, trace=trace)
     if inner is None:
         return None
     w_arcs = {(tail_ids[a], tail_ids[b]) for a, b in inner.arcs()}
@@ -412,6 +420,7 @@ def _ladder_trail(
     x: int,
     y: int,
     allow_mirror: bool,
+    two_strong: bool,
     trace: list[str] | None,
 ) -> Trail | None:
     """Candidate generation ladder; the first accepted candidate wins.
@@ -419,6 +428,8 @@ def _ladder_trail(
     d is strong and semicomplete at every level: ``spanning_trail``
     checks it, and the recursions run on its reverse or on the induced
     sink side plus at most one arc, once that is found strong.
+    ``two_strong`` says that d is known to be 2-arc-strong, so that no
+    strongness test after removing one arc, or one 2-cycle, is needed.
     """
 
     def attempt(thunk) -> Trail | None:
@@ -429,16 +440,16 @@ def _ladder_trail(
         return None if got is None else _accepted_trail(d, got, x, y)
 
     if d.has_arc(x, y):
-        got = attempt(lambda: _direct_arc_case(d, x, y, trace))
+        got = attempt(lambda: _direct_arc_case(d, x, y, two_strong, trace))
         if got is not None:
             return got
     else:
         dprime = d.remove_arcs([(y, x)])
-        if not is_strong(dprime):
+        if not (two_strong or is_strong(dprime)):
             # yx is a cut arc, so it lies on every hamiltonian cycle of d
             def via_ham() -> frozenset[Arc]:
                 _note(trace, "cut-arc-ham-cycle")
-                arcs = set(_cycle_arcs(_cycle(d, (1 << d.n) - 1)))
+                arcs = set(_cycle_arcs(_cached_cycle(d, (1 << d.n) - 1)))
                 arcs.discard((y, x))
                 return frozenset(arcs)
 
@@ -488,7 +499,8 @@ def spanning_trail(
         raise PreconditionError("spanning_trail requires a semicomplete digraph")
     if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
         raise PreconditionError("x and y must be distinct vertices")
-    if not is_strong(d):
+    # from two vertices on, strong means arc-connectivity at least 1
+    if arc_connectivity(d) < 1:
         raise PreconditionError("spanning_trail requires a strong digraph")
     return _spanning_trail(d, x, y, trace)
 
@@ -498,15 +510,17 @@ def _spanning_trail(
 ) -> Trail:
     """``spanning_trail`` for a d already known to be strong and
     semicomplete and two distinct vertices of it.  The two paths are
-    still checked unless the caller found them and says so by ``linked``."""
-    if not linked and arc_connectivity(d) < 2:
+    still checked unless the caller found them and says so by ``linked``;
+    a linked caller leaves d's arc-connectivity unasked."""
+    two_strong = not linked and arc_connectivity(d) >= 2
+    if not linked and not two_strong:
         probe = arc_disjoint_paths(d, x, y, 2)
         if isinstance(probe, CutCertificate):
             raise PreconditionError(
                 f"need two arc-disjoint ({x},{y})-paths; "
                 f"cut {sorted(probe.crossing_arcs)} separates them"
             )
-    trail = _ladder_trail(d, x, y, allow_mirror=True, trace=trace)
+    trail = _ladder_trail(d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace)
     if trail is None:
         raise ConstructionError("no spanning trail construction succeeded")
     return trail

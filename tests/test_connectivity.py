@@ -145,6 +145,34 @@ def test_cut_arcs_frozen_values() -> None:
     assert et.cut_arcs(complete(4)) == frozenset()
 
 
+def _reference_cut_arcs(d: et.Digraph) -> frozenset:
+    """The arcs whose removal leaves d not strong, one search per arc."""
+    return frozenset(a for a in d.arcs() if not et.is_strong(d.remove_arcs([a])))
+
+
+def test_cut_arcs_match_the_per_arc_search() -> None:
+    """The arc-connectivity shortcut and the per-arc search agree on
+    digraphs with and without cut arcs, semicomplete or sparse."""
+    rng = random.Random(9151)
+    by_lambda = {1: 0, 2: 0}
+    for i in range(240):
+        n = rng.randint(2, 16)
+        if i % 3 == 0:
+            d = random_strong_semicomplete(n, rng.randrange(10**6))
+        elif i % 3 == 1:
+            d = backward_chain(n, rng)
+        else:
+            d = et.Digraph(n, [(u, v) for u in range(n) for v in range(n)
+                               if u != v and rng.random() < 0.4])
+        if not et.is_strong(d):
+            with pytest.raises(et.PreconditionError):
+                et.cut_arcs(d)
+            continue
+        assert et.cut_arcs(d) == _reference_cut_arcs(d), sorted(d.arcs())
+        by_lambda[min(et.arc_connectivity(d), 2)] += 1
+    assert by_lambda[1] > 40 and by_lambda[2] > 40, by_lambda
+
+
 def test_arc_connectivity_values() -> None:
     assert et.arc_connectivity(complete(4)) == 3
     assert et.arc_connectivity(three_cycle()) == 1

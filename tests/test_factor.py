@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -102,6 +103,47 @@ def test_factor_exists_guarantee() -> None:
     assert et.factor_exists_guarantee(complete(5), 3)
     assert et.factor_exists_guarantee(t4(), 0)
     assert not et.factor_exists_guarantee(t4(), 1)
+
+
+def _tight_regime(rng: random.Random, n: int, k: int):
+    """A semicomplete digraph of arc-connectivity exactly k+1 in which one
+    vertex v keeps only k+1 out-arcs, and k forbidden arcs at v: some of
+    those out-arcs, the rest into v."""
+    while True:
+        d = et.gen_random_semicomplete(n, rng.uniform(0.2, 0.8), rng.randrange(1 << 30))
+        v = rng.randrange(n)
+        outs = list(d.out_neighbors(v))
+        if len(outs) <= k:
+            continue
+        keep = rng.sample(outs, k + 1)
+        arcs = {(a, b) for a, b in d.arcs() if a != v or b in keep}
+        arcs |= {(w, v) for w in range(n) if w != v and w not in keep}
+        d = et.Digraph(n, arcs)
+        if et.arc_connectivity(d) != k + 1:
+            continue
+        j = rng.randint(0, k)
+        tails = rng.sample(sorted(d.in_neighbors(v)), k - j)
+        return d, frozenset((v, w) for w in keep[:j]) | {(w, v) for w in tails}
+
+
+def test_guaranteed_avoidance_regimes_certify_beyond_the_gate_sizes() -> None:
+    """Arc-connectivity k+1 beats any k forbidden arcs, k <= 3, also at
+    n = 20, 40 and 60 with the forbidden arcs at a vertex of out-degree
+    k+1; no answer needs a merge retry or the exhaustive search."""
+    rng = random.Random("tight-regimes")
+    tags: Counter = Counter()
+    for n in (20, 40, 60):
+        for k in (1, 2, 3):
+            for _ in range(50):
+                d, forbidden = _tight_regime(rng, n, k)
+                assert len(forbidden) == k
+                trace: list[str] = []
+                res = et.spanning_eulerian_avoiding(d, forbidden, trace=trace)
+                assert isinstance(res, et.EulerianSubdigraph), (n, k, res, trace)
+                assert res.check(d, forbidden) == []
+                assert not {"merge-retry", "exhaustive"} & set(trace), trace
+                tags.update(trace)
+    assert tags["multipartite-direct"] and tags["factor-merge"], tags
 
 
 def test_is_star_set() -> None:

@@ -295,6 +295,22 @@ def test_spanning_trail_for_every_linked_pair(n: int, seed: int) -> None:
             assert out_counts(arcs).get(y, 0) <= 1
 
 
+def test_two_arc_strong_digraph_stays_strong_without_both_arcs_of_a_pair() -> None:
+    """What lets the direct-arc case skip its strongness test at
+    arc-connectivity 2 or more: a directed cut holds at most one of xy
+    and yx, so dropping both leaves d strong."""
+    rng = random.Random(6203)
+    seen = 0
+    while seen < 60:
+        d = random_strong_semicomplete(rng.randint(3, 14), rng.randrange(10**6))
+        if et.arc_connectivity(d) < 2:
+            continue
+        seen += 1
+        for x, y in d.arcs():
+            pair = [(x, y), (y, x)] if d.has_arc(y, x) else [(x, y)]
+            assert et.is_strong(d.remove_arcs(pair)), (sorted(d.arcs()), (x, y))
+
+
 def test_is_eulerian_connected_frozen_cases() -> None:
     assert et.is_eulerian_connected(complete(4)) == (True, None)
     assert et.is_eulerian_connected(three_cycle()) == (False, (0, 1))
