@@ -349,7 +349,9 @@ def arc_disjoint_paths(
 ) -> list[list[int]] | CutCertificate:
     """k pairwise arc-disjoint simple (x,y)-paths, or a cut with < k crossing arcs.
 
-    Paths are vertex sequences.  ``k = 0`` returns an empty list.
+    Paths are vertex sequences.  ``k = 0`` returns an empty list.  A cut
+    is checked before it is returned: it must separate x from y in d
+    with fewer than k crossing arcs, or ``ConstructionError`` is raised.
     """
     if not (0 <= x < d.n and 0 <= y < d.n):
         raise PreconditionError("x and y must be vertices of d")
@@ -361,5 +363,13 @@ def arc_disjoint_paths(
         return []
     value, fwd, reached = _max_flow(d, x, y, limit=k)
     if value < k:
-        return _certificate_from_mask(d, reached)
+        cert = _certificate_from_mask(d, reached)
+        if (
+            cert.check(d)
+            or x not in cert.side_s
+            or y not in cert.side_t
+            or len(cert.crossing_arcs) >= k
+        ):
+            raise ConstructionError(f"cut certificate does not refute {k} paths {x}->{y}")
+        return cert
     return flow_paths(((u, v) for u in range(d.n) for v in _mask_bits(fwd[u])), x, y, k)

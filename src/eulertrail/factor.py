@@ -25,6 +25,7 @@ from dataclasses import dataclass
 from ._flow import degree_bounded_subgraph
 from .connectivity import (
     CutCertificate,
+    _closure,
     arc_connectivity,
     arc_connectivity_certificate,
     is_strong,
@@ -32,17 +33,33 @@ from .connectivity import (
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
-from .trails import EulerianSubdigraph, _weak_components, closed_tour
+from .trails import EulerianSubdigraph, _degree_issues, _weak_components, closed_tour
 
 ArcSet = frozenset[Arc]
 
 
 @dataclass(frozen=True)
 class EulerianFactor:
-    """A factor's arcs together with its closed components."""
+    """A factor's arcs together with its closed components, the weak
+    components of the arcs ordered by smallest member."""
 
     arcs: ArcSet
     components: tuple[frozenset[int], ...]
+
+    def check(self, d: Digraph, avoid: ArcSet = frozenset()) -> list[str]:
+        """Violation report for a claimed eulerian factor of d whose
+        ``avoid`` arcs count as absent; empty means valid."""
+        issues, near = _degree_issues(d, self.arcs, avoid)
+        if issues:
+            return issues
+        weak = []  # masks of the weak components, ordered by smallest member
+        left = (1 << d.n) - 1
+        while left:
+            weak.append(_closure(near, (left & -left).bit_length() - 1))
+            left &= ~weak[-1]
+        if list(self.components) != [frozenset(_mask_bits(m)) for m in weak]:
+            issues.append("components are not the weak components of the arcs")
+        return issues
 
 
 @dataclass(frozen=True)
@@ -132,11 +149,16 @@ def eulerian_factor(
 
     Works on arbitrary digraphs.  The factor is found as a degree-bounded
     subgraph with every vertex on at least one arc; when none exists the
-    blocking cut is refined into an ObstructionPartition and verified
-    before being returned.
+    blocking cut is refined into an ObstructionPartition; either answer
+    is checked before it is returned.
     """
     require_arcs(d, avoid, "avoided arc")
-    return _factor(d.remove_arcs(avoid))
+    result = _factor(d.remove_arcs(avoid))
+    if isinstance(result, EulerianFactor):
+        bad = result.check(d, frozenset(avoid))
+        if bad:
+            raise ConstructionError(f"eulerian factor failed its check: {bad}")
+    return result
 
 
 def _factor(d: Digraph) -> EulerianFactor | ObstructionPartition:

@@ -11,13 +11,11 @@ are the independent check against which the constructive modules are
 validated; they share no logic with them.
 
 Size guards keep the searches honest: inputs beyond the guard raise
-``PreconditionError`` instead of running forever.  The vertex guard can be
-raised via the ``EULERTRAIL_ORACLE_LIMIT`` environment variable.
+``PreconditionError`` instead of running forever.
 """
 
 from __future__ import annotations
 
-import os
 import random
 from functools import lru_cache
 from itertools import combinations
@@ -27,27 +25,13 @@ from .errors import PreconditionError
 
 ORACLE_MAX_ARCS = 24
 ORACLE_MAX_VERTICES = 10
-_ENV_LIMIT = "EULERTRAIL_ORACLE_LIMIT"
-
-
-def _vertex_guard() -> int:
-    raw = os.environ.get(_ENV_LIMIT)
-    if raw is None:
-        return ORACLE_MAX_VERTICES
-    try:
-        return int(raw)
-    except ValueError as exc:
-        raise PreconditionError(f"{_ENV_LIMIT} must be an integer, got {raw!r}") from exc
 
 
 def _check_size(d: Digraph) -> None:
-    if d.m <= ORACLE_MAX_ARCS:
-        return
-    if d.n <= _vertex_guard():
+    if d.m <= ORACLE_MAX_ARCS or d.n <= ORACLE_MAX_VERTICES:
         return
     raise PreconditionError(
-        f"oracle guard: {d.n} vertices / {d.m} arcs exceeds the search budget "
-        f"(raise {_ENV_LIMIT} to override)"
+        f"oracle guard: {d.n} vertices / {d.m} arcs exceeds the search budget"
     )
 
 

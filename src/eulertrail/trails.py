@@ -83,32 +83,43 @@ class EulerianSubdigraph:
         whose ``avoid`` arcs count as absent; empty means valid.  A lone
         vertex is connected and balanced, so with n <= 1 the empty arc set
         is eulerian; from two vertices on every vertex must be covered."""
-        issues: list[str] = []
-        n, out = d.n, d._out  # noqa: SLF001 - package-internal
-        outs = [0] * n
-        ins = [0] * n
-        near = [0] * n  # undirected bitmask rows of the arc set
-        for u, v in self.arcs:
-            # an end outside 0..n-1 is no vertex, though a negative one
-            # would index these rows from the end
-            if not (0 <= u < n and 0 <= v < n and out[u] >> v & 1):
-                return [f"arc ({u},{v}) is not in the digraph"]
-            outs[u] += 1
-            ins[v] += 1
-            near[u] |= 1 << v
-            near[v] |= 1 << u
-        if not self.arcs.isdisjoint(avoid):
-            issues.append("uses an avoided arc")
-        for v in range(n):
-            if outs[v] != ins[v]:
-                issues.append(f"vertex {v} is unbalanced")
-            if outs[v] == 0 and n >= 2:
-                issues.append(f"vertex {v} is not covered")
+        issues, near = _degree_issues(d, self.arcs, avoid)
         # every vertex is covered here, so one weak component means that
         # vertex 0 reaches them all
-        if not issues and n and _closure(near, 0) != (1 << n) - 1:
+        if not issues and d.n and _closure(near, 0) != (1 << d.n) - 1:
             issues.append("arc set is not connected")
         return issues
+
+
+def _degree_issues(
+    d: Digraph, arcs: frozenset[Arc], avoid: frozenset[Arc]
+) -> tuple[list[str], list[int]]:
+    """Violation report for arcs claimed to be a spanning closed arc set of
+    d whose ``avoid`` arcs count as absent: every arc must lie in d and not
+    be avoided, and every vertex must be balanced and, from two vertices
+    on, covered.  Also returns the undirected bitmask rows of the arcs."""
+    issues: list[str] = []
+    n, out = d.n, d._out  # noqa: SLF001 - package-internal
+    outs = [0] * n
+    ins = [0] * n
+    near = [0] * n
+    for u, v in arcs:
+        # an end outside 0..n-1 is no vertex, though a negative one
+        # would index these rows from the end
+        if not (0 <= u < n and 0 <= v < n and out[u] >> v & 1):
+            return [f"arc ({u},{v}) is not in the digraph"], near
+        outs[u] += 1
+        ins[v] += 1
+        near[u] |= 1 << v
+        near[v] |= 1 << u
+    if not arcs.isdisjoint(avoid):
+        issues.append("uses an avoided arc")
+    for v in range(n):
+        if outs[v] != ins[v]:
+            issues.append(f"vertex {v} is unbalanced")
+        if outs[v] == 0 and n >= 2:
+            issues.append(f"vertex {v} is not covered")
+    return issues, near
 
 
 # ---- arc-set utilities ----

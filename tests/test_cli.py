@@ -12,9 +12,10 @@ import random
 import pytest
 
 import eulertrail as et
-from eulertrail import classify, cli, factor, trails
+from eulertrail import classify, cli, connectivity, factor, trails
 from eulertrail.cli import main, run_conjecture_search
 from eulertrail.digraph import MAX_VERTICES
+from eulertrail.oracle import enumerate_all_semicomplete
 from instances import complete, random_strong_semicomplete, strong_backward_chain, t4, three_cycle
 
 
@@ -71,6 +72,34 @@ def test_analyze_reports_a_non_strong_digraph(tmp_path, capsys):
         "ignored_sets": None,
     }
     assert err.strip() == "n=3 m=3 strong=False lambda=0 cut_arcs=none"
+
+
+def test_analyze_reports_the_nice_decomposition(tmp_path, capsys):
+    path = str(tmp_path / "d.json")
+    strong = 0
+    for d in enumerate_all_semicomplete(4):
+        if not et.is_strong(d):
+            continue
+        strong += 1
+        with open(path, "w", encoding="utf-8") as fh:
+            fh.write(et.serialize_json(d))
+        assert main(["analyze", path, "--quiet"]) == 0
+        sets = json.loads(capsys.readouterr().out)["decomposition"]
+        assert sets == [sorted(s) for s in et.nice_decomposition(d).sets]
+    assert strong == 543
+
+
+def test_analyze_does_not_fall_back_when_the_nice_decomposition_fails(
+    tmp_path, capsys, monkeypatch
+):
+    def broken(d):
+        raise et.ConstructionError("no nice decomposition")
+
+    monkeypatch.setattr(cli, "nice_decomposition", broken)
+    path = _digraph_file(tmp_path, strong_backward_chain(9, random.Random(3)))
+    with pytest.raises(et.ConstructionError):
+        main(["analyze", path, "--quiet"])
+    assert capsys.readouterr().out == ""
 
 
 def test_analyze_dot_format(tmp_path, capsys):
@@ -211,6 +240,23 @@ def test_trail_cut_obstruction(tmp_path, capsys):
         "side_t": [1, 2],
         "crossing_arcs": [[0, 1]],
     }
+
+
+@pytest.mark.parametrize("side_s", ["s and t", "every vertex"])
+def test_a_flow_cut_that_holds_t_is_refused_before_it_is_printed(
+    tmp_path, capsys, monkeypatch, side_s
+):
+    def wrong(d, s, t, limit=None, *, warm=False):
+        mask = (1 << s | 1 << t) if side_s == "s and t" else (1 << d.n) - 1
+        return 0, [0] * d.n, mask
+
+    monkeypatch.setattr(connectivity, "_max_flow", wrong)
+    d = three_cycle()  # the mask {0, 1} leaves one crossing arc, (1, 2)
+    with pytest.raises(et.ConstructionError):
+        et.arc_disjoint_paths(d, 0, 1, 2)
+    with pytest.raises(et.ConstructionError):
+        main(["trail", _digraph_file(tmp_path, d), "--from", "0", "--to", "1", "--quiet"])
+    assert capsys.readouterr().out == ""
 
 
 def test_trail_probes_its_pair_once_and_forward_arc_witness_not_at_all(
@@ -411,45 +457,6 @@ def test_conjecture_search_rejects_tiny_n(capsys):
     assert "at least 5 vertices" in err
 
 
-def _random_payload(rng, depth=0):
-    """A nested JSON value of the shapes the subcommands print, plus the
-    corner cases of the pair path: bools in pairs and mixed-length lists."""
-    roll = rng.random()
-    if depth > 3 or roll < 0.3:
-        return rng.choice([
-            0, -7, 42, -(1 << 70), True, False, None, 2.5, -0.0, "", 'say "hi"', "é☃\n\\", "arc"
-        ])
-    if roll < 0.45:
-        return [[rng.randint(-3, 120), rng.randint(0, 9)] for _ in range(rng.randint(0, 5))]
-    if roll < 0.55:
-        return [[rng.choice([True, False, 0, 1]), rng.randint(0, 3)] for _ in range(rng.randint(1, 3))]
-    if roll < 0.65:
-        return [[rng.randint(0, 9) for _ in range(rng.randint(0, 3))] for _ in range(rng.randint(1, 3))]
-    if roll < 0.8:
-        return [_random_payload(rng, depth + 1) for _ in range(rng.randint(0, 4))]
-    keys = rng.sample(["n", "arcs", "witness", "é", 'q"', "b", "a b"], rng.randint(0, 4))
-    return {k: _random_payload(rng, depth + 1) for k in keys}
-
-
-def _emitted(payload, capsys) -> str:
-    cli._emit(payload)
-    return capsys.readouterr().out
-
-
-def test_emit_prints_what_json_dumps_prints(capsys):
-    rng = random.Random(11)
-    for _ in range(2000):
-        payload = _random_payload(rng)
-        assert _emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-    # one list object at two depths, and in a pair list next to a bool pair
-    shared = [[0, 1], [2, 3]]
-    for payload in (
-        {"rows": [{"witness": shared}], "witness": shared},
-        [shared, [shared], {"x": [[True, 0], [1, 2]]}],
-    ):
-        assert _emitted(payload, capsys) == json.dumps(payload, indent=2, sort_keys=True) + "\n"
-
-
 def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeypatch):
     payloads = []
     emit = cli._emit
@@ -470,19 +477,25 @@ def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeyp
         (["avoid", k4, "--arcs", first], 0),
         (["avoid", cycle, "--arcs", first], 2),
         (["avoid", exceptional, "--arcs", corner], 2),
+        (["conjecture-search", "--k", "1", "--n", "5", "--trials", "2", "--seed", "1"], 0),
     ]
     for argv, code in cases:
         assert main(argv + ["--quiet"]) == code, argv
-        assert capsys.readouterr().out == (
-            json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
-        ), argv
-    kinds = [p["obstruction"]["kind"] for p in payloads[-2:]]
+        assert capsys.readouterr().out == json.dumps(payloads[-1], sort_keys=True) + "\n", argv
+    kinds = [p["obstruction"]["kind"] for p in payloads[-3:-1]]
     assert kinds == ["cut", "partition"]
     # the unknown answer, which no small input reaches
     monkeypatch.setattr(cli, "spanning_eulerian_avoiding", lambda d, arcs: None)
     assert main(["avoid", k4, "--quiet"]) == 3
-    assert capsys.readouterr().out == json.dumps(payloads[-1], indent=2, sort_keys=True) + "\n"
+    assert capsys.readouterr().out == json.dumps(payloads[-1], sort_keys=True) + "\n"
     assert payloads[-1] == {"certificate": None, "obstruction": None}
+    # a surviving counterexample candidate
+    candidate = {"index": 0, "status": "candidate", "digraph": {"n": 0, "arcs": []}, "avoid": []}
+    monkeypatch.setattr(cli, "_run_trial", lambda seed, k, n_max, index: candidate)
+    argv = ["conjecture-search", "--k", "1", "--n", "5", "--trials", "1", "--seed", "1"]
+    assert main(argv + ["--quiet"]) == 3
+    assert capsys.readouterr().out == json.dumps(payloads[-1], sort_keys=True) + "\n"
+    assert payloads[-1]["candidates"] == [candidate]
 
 
 def test_avoid_does_not_print_a_certificate_that_fails_its_check(tmp_path, capsys, monkeypatch):

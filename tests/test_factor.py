@@ -68,6 +68,32 @@ def test_obstruction_partition_check_is_strict() -> None:
     assert "partition" in partial.check(d)[0]
 
 
+@pytest.mark.parametrize(
+    "pick, avoid, defect",
+    [
+        ([(0, 1), (1, 2), (2, 0), (2, 3)], set(), "unbalanced"),
+        ([(0, 1), (1, 2), (2, 3), (3, 0)], {(0, 1)}, "avoided arc"),
+        ([(0, 1), (1, 0), (2, 3), (3, 2)], set(), "not in the digraph"),
+    ],
+)
+def test_eulerian_factor_checks_its_factor(monkeypatch, pick, avoid, defect) -> None:
+    d = complete(4).remove_arcs({(3, 2)})
+    monkeypatch.setattr(factor, "_factor_arcs", lambda n, arcs: (pick, frozenset(), frozenset()))
+    with pytest.raises(et.ConstructionError, match=defect):
+        et.eulerian_factor(d, avoid)
+
+
+def test_eulerian_factor_check_compares_the_components() -> None:
+    d = complete(4)
+    arcs = frozenset({(0, 1), (1, 0), (2, 3), (3, 2)})
+    halves = (frozenset({0, 1}), frozenset({2, 3}))
+    assert et.EulerianFactor(arcs, halves).check(d) == []
+    assert et.EulerianFactor(arcs, (frozenset(range(4)),)).check(d) == [
+        "components are not the weak components of the arcs"
+    ]
+    assert et.EulerianFactor(arcs, halves).check(d, frozenset({(1, 0)})) == ["uses an avoided arc"]
+
+
 @settings(max_examples=120)
 @given(
     n=st.integers(min_value=3, max_value=6),

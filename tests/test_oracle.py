@@ -118,12 +118,6 @@ def test_size_guard() -> None:
         enumerate_spanning_eulerian(ring)
 
 
-def test_size_guard_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
-    ring = et.Digraph(26, [(i, (i + 1) % 26) for i in range(26)])
-    monkeypatch.setenv("EULERTRAIL_ORACLE_LIMIT", "30")
-    assert enumerate_spanning_eulerian(ring) == [frozenset(ring.arcs())]
-
-
 def test_enumerate_all_tournaments() -> None:
     small = list(enumerate_all_tournaments(3))
     assert len(small) == 8
