@@ -1,8 +1,7 @@
 """The split-node circulation that every factor and completion is solved with.
 
-``degree_bounded_subgraph`` keeps its flow as bitmask rows and augments
-one unit per breadth-first search, in the idiom of
-``connectivity._max_flow``.
+``_circulate`` keeps its flow as bitmask rows and augments one unit per
+breadth-first search, in the idiom of ``connectivity._max_flow``.
 """
 
 from __future__ import annotations
@@ -26,6 +25,23 @@ def degree_bounded_subgraph(
     empty sets; when no choice exists, None plus the vertices whose entry
     side and whose exit side lie on the source side of the blocking cut.
     A surplus that does not sum to 0 raises PreconditionError.
+    """
+    free = [0] * n
+    for u, v in arcs:
+        free[u] |= 1 << v
+    taken, entry, exit_ = _circulate(free, lo, hi, surplus)
+    if taken is None:
+        return None, frozenset(_mask_bits(entry)), frozenset(_mask_bits(exit_))
+    return [(u, v) for u, v in arcs if taken[v] >> u & 1], frozenset(), frozenset()
+
+
+def _circulate(
+    free: list[int], lo: list[int], hi: list[int], surplus: list[int] | None = None
+) -> tuple[list[int] | None, int, int]:
+    """``degree_bounded_subgraph`` on the rows ``free``, which it consumes:
+    bit v of ``free[u]`` offers (u,v).  Returns rows ``taken``, bit u of
+    ``taken[v]`` for a picked (u,v), and two zero masks; else None and the
+    masks of the entry and the exit sides on the cut's source side.
 
     Solved as a circulation on the split-node network: arc (u, v) runs
     from the exit side of u to the entry side of v, and vertex v's own
@@ -39,19 +55,16 @@ def degree_bounded_subgraph(
     own edge backwards; an entry side scans its picked arcs' tails in
     ascending order and then its own edge forwards.  This is the order in
     which Edmonds-Karp searches the network built from the arcs sorted,
-    so it picks what that would; the input order only orders the output.
+    so it picks what that would.
     """
+    n = len(free)
     if surplus is None:
         surplus = [0] * n
     elif sum(surplus) != 0:
         raise PreconditionError(f"surplus sums to {sum(surplus)}, not 0")
     if any(a > b for a, b in zip(lo, hi)):
-        everything = frozenset(range(n))
-        return None, everything, everything
-    free = [0] * n  # free[u] bit v: arc (u,v) offered and not picked
-    taken = [0] * n  # taken[v] bit u: arc (u,v) picked
-    for u, v in arcs:
-        free[u] |= 1 << v
+        return None, (1 << n) - 1, (1 << n) - 1
+    taken = [0] * n  # taken[v] bit u: arc (u,v) picked; free loses it meanwhile
     room = [b - a for a, b in zip(lo, hi)]  # own-edge units allowed above lo
     extra = [0] * n  # own-edge units carried above lo
     supply = [a + max(s, 0) for a, s in zip(lo, surplus)]
@@ -104,7 +117,7 @@ def degree_bounded_subgraph(
                     via_out[v] = v
                     frontier.append(v)
         if hit < 0:
-            return None, frozenset(_mask_bits(seen_in)), frozenset(_mask_bits(seen_out))
+            return None, seen_in, seen_out
         demand[hit] -= 1
         if not demand[hit]:
             needy ^= 1 << hit
@@ -127,4 +140,4 @@ def degree_bounded_subgraph(
         supply[u] -= 1
         if not supply[u]:
             stocked ^= 1 << u
-    return [(u, v) for u, v in arcs if taken[v] >> u & 1], frozenset(), frozenset()
+    return taken, 0, 0

@@ -43,10 +43,10 @@ from .decomposition import (
     natural_backward_ordering,
     nice_decomposition,
 )
-from .digraph import Arc, Digraph, is_semicomplete, require_arcs
+from .digraph import Arc, Digraph, _mask_bits, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, _merge, spanning_eulerian_avoiding
-from ._flow import degree_bounded_subgraph
+from ._flow import _circulate
 from .trails import EulerianSubdigraph, _spanning_trail
 
 
@@ -121,27 +121,28 @@ def _trail_route_witness(d: Digraph, arc: Arc) -> frozenset[Arc]:
     return frozenset(trail.arcs()) | {arc}
 
 
-def _completed(d: Digraph, arcs: list[Arc], forced: set[Arc]) -> frozenset[Arc] | None:
-    """Complete the ``forced`` ones of d's ``arcs`` to a spanning eulerian
-    subdigraph, or None.
+def _completed(d: Digraph, forced: set[Arc]) -> frozenset[Arc] | None:
+    """Complete the ``forced`` arcs of d to a spanning eulerian subdigraph, or None.
 
-    A degree-bounded subgraph of the other arcs balances the forced ones
+    A degree-bounded subgraph of d's other arcs balances the forced ones
     and passes through every vertex no forced arc touches; ``_merge``
     then joins its pieces without dropping a forced arc (a connected set
     comes back unchanged).  The result is not checked here."""
     n = d.n
+    free = list(d._out)  # noqa: SLF001 - package-internal
     # the picked arcs must make up the imbalance the forced arcs leave
     surplus = [0] * n
+    lo = [1] * n
     for a, b in forced:
+        free[a] &= ~(1 << b)
         surplus[a] -= 1
         surplus[b] += 1
-    touched = {w for a in forced for w in a}
-    lo = [0 if w in touched else 1 for w in range(n)]
-    rest = [a for a in arcs if a not in forced]
-    picked, _, _ = degree_bounded_subgraph(n, rest, lo, [n] * n, surplus)
-    if picked is None:
+        lo[a] = lo[b] = 0
+    taken, _, _ = _circulate(free, lo, [n] * n, surplus)
+    if taken is None:
         return None
-    return _merge(d, forced.union(picked), frozenset(forced))
+    picked = {(u, v) for v in range(n) for u in _mask_bits(taken[v])}
+    return _merge(d, picked.union(forced), frozenset(forced))
 
 
 def _forced_flow_witness(
@@ -156,7 +157,7 @@ def _forced_flow_witness(
     spanning subdigraph."""
     forced = set(dec.backward_arcs(d))
     forced.add(arc)
-    return _completed(d, list(d.arcs()), forced)
+    return _completed(d, forced)
 
 
 def classify_containment(d: Digraph, arc: Arc) -> ArcContainment:
@@ -175,7 +176,7 @@ def _containment(d: Digraph, arc: Arc) -> ArcContainment:
     witness_arcs: frozenset[Arc] | None
     if d.n <= 3:
         # exact on this finite class: test_completion_decides_every_arc_up_to_three_vertices
-        witness_arcs = _completed(d, list(d.arcs()), {arc})
+        witness_arcs = _completed(d, {arc})
         if witness_arcs is None:
             return ArcContainment(arc, False, "small-case", None)
     else:
@@ -398,7 +399,7 @@ def _batch_containment(d: Digraph, arcs: list[Arc]) -> list[ArcContainment] | No
                 forced.add((a, b))
                 tails |= 1 << a
                 heads |= 1 << b
-        got = _completed(d, arcs, forced)
+        got = _completed(d, forced)
         if got is None:
             sub = _containment(d, uncovered[0]).witness
         else:

@@ -22,8 +22,8 @@ start, because the vertices reachable from s in the residual graph are
 the same for every maximum flow.
 
 The other modules share two walks from here: ``shortest_walk``, a
-breadth-first shortest-walk search, and ``flow_paths``, which reads
-paths off flow arcs.
+breadth-first shortest-walk search, and ``_row_paths``, which reads
+paths off flow rows.
 """
 
 from __future__ import annotations
@@ -207,24 +207,34 @@ def shortest_walk(
 
 
 def flow_paths(arcs: Iterable[Arc], x: int, y: int, k: int) -> list[list[int]]:
-    """k simple (x,y)-paths read off the arcs of an integral flow.
+    """``_row_paths`` on the bitmask rows of the arcs of a unit flow."""
+    arcs = list(arcs)
+    rows = [0] * (1 + max([x, y, *(max(a) for a in arcs)]))
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return _row_paths(rows, x, y, k)
+
+
+def _row_paths(fwd: Sequence[int], x: int, y: int, k: int) -> list[list[int]]:
+    """k simple (x,y)-paths read off flow rows: bit v of ``fwd[u]`` marks a flow arc (u,v).
 
     Each walk leaves x and takes the unused arc with the smallest head
     until it reaches y; when it returns to a vertex, the cycle in between
     is spliced out.  Raises ConstructionError when a walk stops short of y.
     """
-    heads: dict[int, list[int]] = {}
-    for u, v in sorted(arcs, reverse=True):
-        heads.setdefault(u, []).append(v)  # pop() takes the smallest head
+    rows = list(fwd)
     paths: list[list[int]] = []
     for _ in range(k):
         path = [x]
         pos = {x: 0}
         v = x
         while v != y:
-            if not heads.get(v):
+            row = rows[v]
+            if not row:
                 raise ConstructionError(f"flow walk stopped at {v}, short of {y}")
-            v = heads[v].pop()
+            low = row & -row
+            rows[v] = row ^ low
+            v = low.bit_length() - 1
             if v in pos:
                 for gone in path[pos[v] + 1 :]:
                     del pos[gone]
@@ -372,4 +382,4 @@ def arc_disjoint_paths(
         ):
             raise ConstructionError(f"cut certificate does not refute {k} paths {x}->{y}")
         return cert
-    return flow_paths(((u, v) for u in range(d.n) for v in _mask_bits(fwd[u])), x, y, k)
+    return _row_paths(fwd, x, y, k)

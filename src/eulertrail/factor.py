@@ -20,6 +20,7 @@ given, whose arcs are exactly the allowed ones.
 from __future__ import annotations
 
 import random
+from collections import Counter
 from dataclasses import dataclass
 
 from ._flow import degree_bounded_subgraph
@@ -33,7 +34,7 @@ from .connectivity import (
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
-from .trails import EulerianSubdigraph, _degree_issues, _weak_components, closed_tour
+from .trails import EulerianSubdigraph, _degree_issues, closed_tour
 
 ArcSet = frozenset[Arc]
 
@@ -49,15 +50,11 @@ class EulerianFactor:
     def check(self, d: Digraph, avoid: ArcSet = frozenset()) -> list[str]:
         """Violation report for a claimed eulerian factor of d whose
         ``avoid`` arcs count as absent; empty means valid."""
-        issues, near = _degree_issues(d, self.arcs, avoid)
+        issues, _ = _degree_issues(d, self.arcs, avoid)
         if issues:
             return issues
-        weak = []  # masks of the weak components, ordered by smallest member
-        left = (1 << d.n) - 1
-        while left:
-            weak.append(_closure(near, (left & -left).bit_length() - 1))
-            left &= ~weak[-1]
-        if list(self.components) != [frozenset(_mask_bits(m)) for m in weak]:
+        weak = [frozenset(_mask_bits(m)) for m in _weak_masks(d.n, self.arcs)]
+        if list(self.components) != weak:
             issues.append("components are not the weak components of the arcs")
         return issues
 
@@ -134,6 +131,21 @@ class MergeOption:
 # ---- eulerian factors ----
 
 
+def _weak_masks(n: int, arcs) -> list[int]:
+    """Masks of the weak components of the arcs on vertices 0..n-1,
+    ordered by smallest member; a vertex on no arc is a component alone."""
+    near = [0] * n  # undirected bitmask rows
+    for u, v in arcs:
+        near[u] |= 1 << v
+        near[v] |= 1 << u
+    comps: list[int] = []
+    left = (1 << n) - 1
+    while left:
+        comps.append(_closure(near, (left & -left).bit_length() - 1))
+        left &= ~comps[-1]
+    return comps
+
+
 def _factor_arcs(
     n: int, arcs: list[Arc]
 ) -> tuple[list[Arc] | None, frozenset[int], frozenset[int]]:
@@ -164,8 +176,8 @@ def eulerian_factor(
 def _factor(d: Digraph) -> EulerianFactor | ObstructionPartition:
     picked, entry, exit_ = _factor_arcs(d.n, list(d.arcs()))
     if picked is not None:
-        arcs = frozenset(picked)
-        return EulerianFactor(arcs, tuple(_weak_components(d.n, arcs)))
+        comps = _weak_masks(d.n, picked)
+        return EulerianFactor(frozenset(picked), tuple(frozenset(_mask_bits(c)) for c in comps))
     return _refine_obstruction(d, entry, exit_)
 
 
@@ -217,9 +229,9 @@ def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
     """
     arcs = list(arcs)
     n = 1 + max((max(a) for a in arcs), default=-1)
-    for comp in _weak_components(n, arcs):
-        inner = [a for a in arcs if a[0] in comp]
-        if inner and not any(all(v in a for a in inner) for v in comp):
+    for comp in _weak_masks(n, arcs):
+        inner = [a for a in arcs if comp >> a[0] & 1]
+        if inner and not any(all(v in a for a in inner) for v in _mask_bits(comp)):
             return False
     return True
 
@@ -229,26 +241,38 @@ def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
 
 def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] | None:
     """A vertex cycle of arcs that all run between distinct components:
-    the shortest one through the smallest vertex that lies on such a
-    cycle.
+    the shortest one through the smallest vertex on such a cycle.
 
-    Each vertex gets one bitmask row, its out-row minus its own component
-    (which holds every current arc out of it).  Breadth-first search then
-    runs from each vertex s in ascending order, trying heads in ascending
-    order, until a row leads back to s.
+    The cross rows of a vertex are its out- and in-row minus its own
+    component, which holds every current arc at it.  Peeling, again and
+    again, the vertices with an empty cross row inside what is left keeps
+    every vertex of a cross cycle.  The first vertex s left whose strong
+    component C there (two ``_closure`` calls) is more than s is the
+    smallest one on a cross cycle.  A breadth-first search from s, heads
+    in ascending order, runs inside C until a row leads back to s.  Over
+    every vertex it would find the same cycle: a vertex outside C that s
+    reaches cannot reach s, so it reaches no vertex of C and discovers
+    none, and only vertices of C lead back to s.
     """
     n = d.n
-    out = d._out  # noqa: SLF001 - package-internal
+    out, ins = d._out, d._in  # noqa: SLF001 - package-internal
     rows = [out[u] & ~comps[comp_of[u]] for u in range(n)]
+    cols = [ins[u] & ~comps[comp_of[u]] for u in range(n)]
+    alive, dead = (1 << n) - 1, -1
+    while dead:
+        dead = _mask_of(v for v in _mask_bits(alive) if not (rows[v] & alive and cols[v] & alive))
+        alive ^= dead
     parent = [-1] * n
-    for s in range(n):
-        if not rows[s]:
-            continue
+    for s in _mask_bits(alive):
         bit_s = 1 << s
+        within = _closure(rows, s, alive) & _closure(cols, s, alive)
+        alive ^= bit_s  # s lies on no cross cycle unless this search finds one
+        if within == bit_s:
+            continue
         seen = bit_s
         queue = [s]
         for v in queue:  # the queue grows while it is read
-            row = rows[v]
+            row = rows[v] & within
             if row & bit_s:
                 cycle = [s]
                 while v != s:
@@ -269,27 +293,28 @@ def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] 
 
 
 def _next_move(
-    d: Digraph, current: set[Arc], comps: list[int], protected: ArcSet
+    d: Digraph, current: set[Arc], comps: list[int], comp_of: list[int], protected: ArcSet
 ) -> MergeOption | None:
     """The first applicable move, or None.
 
-    Every insert, swap and reroute candidate arc joins two components
-    while every current arc lies inside one, so any arc of d may be
-    added, and only its protected arcs can rule a candidate out.
-    Removing one arc from a closed component leaves an open trail through
-    all of its vertices, and the two added arcs join that trail to the
-    other component; a reroute bypasses only one of y's two or more
-    visits, so y stays on its component's trail.
+    ``comps`` holds the weak components of the balanced ``current`` arcs
+    as masks and ``comp_of`` each vertex's index, so each component's
+    arcs form one closed tour through its vertices.  Every candidate arc
+    joins two components, so any arc of d may be added; only protected
+    arcs rule a candidate out.
+
+    Each move joins exactly the components its added arcs touch, keeps
+    every component closed and leaves the others' arcs alone.  A cycle
+    removes nothing and links the components of its vertices.  An insert
+    drops one arc of a tour, a swap one of each of two; what is left of a
+    tour is an open trail through all of its vertices, and the two added
+    arcs close it, through the other component, into one tour.  A reroute
+    turns p, y, s into p, x, s on one tour; y is visited twice or more,
+    so no vertex leaves the tour, and x's component joins it.
     """
     before = len(comps)
-    comp_of = [0] * d.n
-    for i, c in enumerate(comps):
-        for v in _mask_bits(c):
-            comp_of[v] = i
     cyc = _cross_cycle(d, comps, comp_of)
     if cyc is not None:
-        # every arc of the cycle joins two distinct components and nothing
-        # is removed, so the count drops and no protected arc is touched
         return MergeOption("cycle", frozenset(cyc), frozenset())
     out, ins = d._out, d._in  # noqa: SLF001 - package-internal
     grouped: list[list[Arc]] = [[] for _ in comps]
@@ -353,23 +378,37 @@ def merge_all(
     Moves are tried in a fixed order (cross-component cycle, insertion
     through a foreign vertex, arc swap, revisit reroute); each move joins
     components, so the count strictly drops, and protected arcs are never
-    removed.
+    removed.  The factor arcs must be balanced at every vertex, else
+    PreconditionError.
     """
     require_arcs(d, avoid, "avoided arc")
+    if Counter(u for u, _ in factor_arcs) != Counter(v for _, v in factor_arcs):
+        raise PreconditionError("factor arcs are not balanced at every vertex")
     return _merge(d.remove_arcs(avoid), factor_arcs, protected)
 
 
 def _merge(d: Digraph, arcs: ArcSet | set[Arc], protected: ArcSet) -> ArcSet | None:
+    """``merge_all`` on balanced arcs of d.  The components are found
+    once; after each move the ones its added arcs touch are ORed into one
+    (see ``_next_move``), and the list is kept in order of smallest member."""
     current = set(arcs)
+    comps = _weak_masks(d.n, current)
+    comp_of = [0] * d.n
     for _ in range(d.n + 2):
-        comps = [_mask_of(c) for c in _weak_components(d.n, current)]
         if len(comps) <= 1:
             return frozenset(current)
-        move = _next_move(d, current, comps, protected)
+        for i, c in enumerate(comps):
+            for v in _mask_bits(c):
+                comp_of[v] = i
+        move = _next_move(d, current, comps, comp_of, protected)
         if move is None:
             return None
         current -= move.remove_arcs
         current |= move.add_arcs
+        touched = {comp_of[w] for a in move.add_arcs for w in a}
+        joined = sum(comps[i] for i in touched)  # disjoint masks: their union
+        comps = [c for i, c in enumerate(comps) if i not in touched] + [joined]
+        comps.sort(key=lambda m: m & -m)
     return None
 
 
@@ -475,15 +514,12 @@ def _avoiding(
         k = len(forbidden)
         bound = ((k + 1) ** 2 + 3) // 4 + 1
         if k and arc_connectivity(d) >= bound:
-            clusters = [
-                c
-                for c in _weak_components(d.n, forbidden)
-                if len(c) >= 2
-            ]
+            out = d._out  # noqa: SLF001 - package-internal
             drop = [
                 (u, v)
-                for u, v in d.arcs()
-                if any(u in c and v in c for c in clusters)
+                for c in _weak_masks(d.n, forbidden)
+                for u in _mask_bits(c)
+                for v in _mask_bits(out[u] & c)
             ]
             dstar = d.remove_arcs(drop)
             if is_strong(dstar) and is_semicomplete_multipartite(dstar):

@@ -17,12 +17,13 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .connectivity import (
-    CutCertificate,
+    _certificate_from_mask,
     _closure,
     _components,
+    _max_flow,
+    _row_paths,
     arc_connectivity,
     arc_disjoint_paths,
-    flow_paths,
     is_strong,
 )
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
@@ -125,27 +126,6 @@ def _degree_issues(
 # ---- arc-set utilities ----
 
 
-def _weak_components(n: int, arcs) -> list[frozenset[int]]:
-    """Vertex sets of the weak components of the arcs on vertices 0..n-1,
-    ordered by smallest member; a vertex on no arc is a component alone."""
-    parent = list(range(n))
-
-    def find(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    for u, v in arcs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[max(ru, rv)] = min(ru, rv)
-    groups: dict[int, set[int]] = {}
-    for v in range(n):
-        groups.setdefault(find(v), set()).add(v)
-    return [frozenset(groups[r]) for r in sorted(groups)]
-
-
 def _euler_walk(arcs: Iterable[Arc], start: int) -> list[int]:
     """Hierholzer walk from start that takes the smallest unused head
     first; it uses every arc only when the arcs form one trail."""
@@ -233,7 +213,7 @@ def _minimal_pair(d: Digraph, x: int, y: int) -> tuple[list[int], list[int]]:
             fwd[a] ^= 1 << b
             back[b] ^= 1 << a
             v = u
-    p1, p2 = flow_paths(((u, v) for u in range(n) for v in _mask_bits(fwd[u])), x, y, 2)
+    p1, p2 = _row_paths(fwd, x, y, 2)
     if (len(p2), p2) < (len(p1), p1):
         p1, p2 = p2, p1
     return p1, p2
@@ -525,11 +505,11 @@ def _spanning_trail(
     a linked caller leaves d's arc-connectivity unasked."""
     two_strong = not linked and arc_connectivity(d) >= 2
     if not linked and not two_strong:
-        probe = arc_disjoint_paths(d, x, y, 2)
-        if isinstance(probe, CutCertificate):
+        value, _, reached = _max_flow(d, x, y, limit=2)
+        if value < 2:
             raise PreconditionError(
                 f"need two arc-disjoint ({x},{y})-paths; "
-                f"cut {sorted(probe.crossing_arcs)} separates them"
+                f"cut {sorted(_certificate_from_mask(d, reached).crossing_arcs)} separates them"
             )
     trail = _ladder_trail(d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace)
     if trail is None:

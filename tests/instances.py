@@ -141,3 +141,26 @@ def random_strong_semicomplete(n: int, seed: int) -> et.Digraph:
         if et.is_strong(d):
             return d
     raise RuntimeError(f"no strong semicomplete digraph found for n={n}")
+
+
+def weak_components(n: int, arcs) -> list[frozenset[int]]:
+    """Vertex sets of the weak components of the arcs on vertices 0..n-1,
+    ordered by smallest member; a vertex on no arc is a component alone.
+    A union-find, kept apart from the library's mask closures so that
+    tests can recount components independently."""
+    parent = list(range(n))
+
+    def find(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = parent[parent[v]]
+            v = parent[v]
+        return v
+
+    for u, v in arcs:
+        ru, rv = find(u), find(v)
+        if ru != rv:
+            parent[max(ru, rv)] = min(ru, rv)
+    groups: dict[int, set[int]] = {}
+    for v in range(n):
+        groups.setdefault(find(v), set()).add(v)
+    return [frozenset(groups[r]) for r in sorted(groups)]

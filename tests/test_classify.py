@@ -286,7 +286,7 @@ def test_classify_all_batches_give_the_per_arc_verdicts() -> None:
 
 
 def test_classify_all_covers_missed_batches_with_per_arc_witnesses(monkeypatch) -> None:
-    monkeypatch.setattr(classify, "_completed", lambda d, arcs, forced: None)
+    monkeypatch.setattr(classify, "_completed", lambda d, forced: None)
     rng = random.Random(5)
     for n in (4, 9, 16):
         d = _two_arc_strong(n, 0.3, rng)

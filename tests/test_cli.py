@@ -526,8 +526,8 @@ def test_classify_all_does_not_print_a_corrupted_containment_witness(
     # --all covers complete(5) with batch witnesses
     completed = classify._completed
 
-    def short(d, arcs, forced):
-        got = completed(d, arcs, forced)
+    def short(d, forced):
+        got = completed(d, forced)
         return got - {min(got - forced)}
 
     monkeypatch.setattr(classify, "_completed", short)

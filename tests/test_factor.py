@@ -1,5 +1,6 @@
 import random
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from eulertrail.digraph import _mask_of
 from eulertrail.factor import (
     _cross_cycle,
     _factor_arcs,
+    _merge,
     _next_move,
     _refine_obstruction,
     is_semicomplete_multipartite,
@@ -23,8 +25,14 @@ from eulertrail.oracle import (
     oracle_eulerian_factor,
     spanning_eulerian_exists,
 )
-from eulertrail.trails import _weak_components
-from instances import backward_chain, complete, random_strong_semicomplete, t4, three_cycle
+from instances import (
+    backward_chain,
+    complete,
+    random_strong_semicomplete,
+    t4,
+    three_cycle,
+    weak_components,
+)
 
 
 def balanced_everywhere(d: et.Digraph, arcs) -> bool:
@@ -208,6 +216,16 @@ def test_merge_all_respects_avoid() -> None:
     assert not (merged & avoid)
 
 
+def test_merge_all_refuses_unbalanced_factor_arcs() -> None:
+    # the merge keeps each component closed, which unbalanced arcs are not
+    d = complete(4)
+    for arcs in ({(0, 1)}, {(0, 1), (1, 2), (2, 0), (2, 3)}, {(0, 1), (1, 0), (0, 2)}):
+        with pytest.raises(et.PreconditionError, match="balanced"):
+            et.merge_all(d, arcs)
+    merged = et.merge_all(d, {(0, 1), (1, 0), (2, 3), (3, 2)})
+    assert merged is not None and et.EulerianSubdigraph(merged).check(d) == []
+
+
 def test_merge_all_refuses_avoided_arcs_outside_the_digraph() -> None:
     factor = {(0, 1), (1, 2), (2, 0)}
     for avoid in ({(1, 0)}, {(0, 3)}, {(-1, 0)}):
@@ -240,13 +258,13 @@ def _merge_states(d, avoid, arcs, protected=frozenset()):
     rest = d.remove_arcs(avoid)
     current = set(arcs)
     for _ in range(d.n + 2):
-        comps = _weak_components(d.n, current)
+        comps = weak_components(d.n, current)
         comp_of = [next(i for i, c in enumerate(comps) if v in c) for v in range(d.n)]
         comps = [_mask_of(c) for c in comps]
         if len(comps) <= 1:
             yield current, comps, comp_of, None
             return
-        move = _next_move(rest, current, comps, protected)
+        move = _next_move(rest, current, comps, comp_of, protected)
         yield current, comps, comp_of, move
         if move is None:
             return
@@ -323,10 +341,72 @@ def test_every_merge_move_joins_exactly_the_components_it_touches() -> None:
                 assert not move.remove_arcs & protected
                 touched = {comp_of[u] for u, _ in move.add_arcs}
                 assert len(touched) == 2 or move.rule == "cycle"
-                after = _weak_components(d.n, (current - move.remove_arcs) | move.add_arcs)
+                after = weak_components(d.n, (current - move.remove_arcs) | move.add_arcs)
                 assert len(after) == len(comps) - len(touched) + 1
                 moves[move.rule] += 1
     assert all(moves.values()), moves
+
+
+def _reference_merge(d, arcs, protected):
+    """The merge as it was before it kept its components: the weak
+    components recounted from the current arcs before every move."""
+    current = set(arcs)
+    for _ in range(d.n + 2):
+        comps = weak_components(d.n, current)
+        if len(comps) <= 1:
+            return frozenset(current)
+        comp_of = [next(i for i, c in enumerate(comps) if v in c) for v in range(d.n)]
+        move = _next_move(d, current, [_mask_of(c) for c in comps], comp_of, protected)
+        if move is None:
+            return None
+        current = (current - move.remove_arcs) | move.add_arcs
+    return None
+
+
+def test_merge_matches_the_recomputing_merge() -> None:
+    rng = random.Random(1)
+    merged = stuck = 0
+    for d, avoid, _ in _merge_inputs():
+        rest = d.remove_arcs(avoid)
+        picked, _, _ = _factor_arcs(d.n, list(rest.arcs()))
+        if picked is None:
+            continue
+        # protecting every arc leaves only the cycle moves, which get stuck
+        for share in (0, len(picked) // 2, len(picked)):
+            protected = frozenset(rng.sample(picked, share))
+            got = _merge(rest, picked, protected)
+            assert got == _reference_merge(rest, picked, protected)
+            merged += got is not None
+            stuck += got is None
+    assert merged > 50 and stuck > 5
+
+
+def test_merge_matches_the_recomputing_merge_on_chain_completions(monkeypatch) -> None:
+    """Every merge of the per-arc completions on the arc-connectivity 1
+    digraphs of one classify-all benchmark pass."""
+    from eulertrail import classify
+
+    monkeypatch.syspath_prepend(str(Path(__file__).resolve().parent.parent))
+    from perfbench.run import seeded_inputs
+
+    calls = []
+
+    def checked(d, arcs, protected):
+        got = _merge(d, arcs, protected)
+        assert got == _reference_merge(d, arcs, protected)
+        calls.append(got is not None)
+        return got
+
+    monkeypatch.setattr(classify, "_merge", checked)
+    with seeded_inputs("classify-all", 1) as (_, instances, _):
+        for inst in instances:
+            d = et.Digraph(inst.n, inst.arcs)
+            if et.arc_connectivity(d) == 1:
+                try:
+                    et.classify_all(d)
+                except et.ConstructionError:
+                    pass
+    assert len(calls) > 500 and all(calls)
 
 
 def _reference_refine_obstruction(d, avoid, entry, exit_):

@@ -2,7 +2,8 @@ import random
 
 import pytest
 
-from eulertrail._flow import degree_bounded_subgraph
+from eulertrail._flow import _circulate, degree_bounded_subgraph
+from eulertrail.digraph import _mask_of
 from eulertrail.errors import PreconditionError
 
 
@@ -196,6 +197,16 @@ def test_picks_and_cut_sides_match_the_edmonds_karp_reference() -> None:
         n, arcs, lo, hi, surplus = _random_case(rng)
         want = _reference_subgraph(n, arcs, lo, hi, surplus)
         assert degree_bounded_subgraph(n, arcs, lo, hi, surplus) == want
+        # the row kernel under the adapter: the same picks and cut sides
+        free = [_mask_of(v for a, v in arcs if a == u) for u in range(n)]
+        taken, entry, exit_ = _circulate(free, lo, hi, surplus)
+        if want[0] is None:
+            assert (taken, entry, exit_) == (None, _mask_of(want[1]), _mask_of(want[2]))
+        else:
+            assert (entry, exit_) == (0, 0)
+            assert {(u, v) for v in range(n) for u in range(n) if taken[v] >> u & 1} == set(
+                want[0]
+            )
         shuffled = arcs[:]
         rng.shuffle(shuffled)
         picked, entry, exit_ = degree_bounded_subgraph(n, shuffled, lo, hi, surplus)

@@ -11,11 +11,16 @@ from eulertrail.trails import (
     _accepted_trail,
     _euler_walk,
     _minimal_pair,
-    _weak_components,
     arcs_to_trail,
     closed_tour,
 )
-from instances import backward_chain, complete, random_strong_semicomplete, three_cycle
+from instances import (
+    backward_chain,
+    complete,
+    random_strong_semicomplete,
+    three_cycle,
+    weak_components,
+)
 
 
 def out_counts(arcs) -> dict[int, int]:
@@ -118,7 +123,7 @@ def test_eulerian_subdigraph_check_agrees_with_weak_components(monkeypatch) -> N
                 ):
                     issues = et.EulerianSubdigraph(arcs).check(host)
                     assert issues == ([] if joined else ["arc set is not connected"])
-                    assert (len(_weak_components(host.n, arcs)) == 1) == joined
+                    assert (len(weak_components(host.n, arcs)) == 1) == joined
                     seen += 1
     assert seen > 3000
 
