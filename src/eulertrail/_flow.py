@@ -69,13 +69,14 @@ def _circulate(
     extra = [0] * n  # own-edge units carried above lo
     supply = [a + max(s, 0) for a, s in zip(lo, surplus)]
     demand = [a + max(-s, 0) for a, s in zip(lo, surplus)]
-    stocked = _mask_of(v for v in range(n) if supply[v])
+    sources = [v for v in range(n) if supply[v]]  # the stocked exit sides, ascending
+    stocked = _mask_of(sources)
     needy = _mask_of(v for v in range(n) if demand[v])
     while stocked:
         via_in = [0] * n  # exit side each reached entry side came from
         via_out = [-1] * n  # entry side each reached exit side came from
         seen_in, seen_out = 0, stocked
-        frontier = list(_mask_bits(stocked))
+        frontier = sources  # rebound below, never changed in place
         hit = -1
         while frontier:
             entries: list[int] = []
@@ -140,4 +141,5 @@ def _circulate(
         supply[u] -= 1
         if not supply[u]:
             stocked ^= 1 << u
+            sources.remove(u)
     return taken, 0, 0

@@ -39,8 +39,9 @@ from .connectivity import (
 )
 from .decomposition import (
     Decomposition,
+    _backward_arcs,
+    _backward_ordering,
     ignored_sets,
-    natural_backward_ordering,
     nice_decomposition,
 )
 from .digraph import Arc, Digraph, _mask_bits, is_semicomplete, require_arcs
@@ -92,7 +93,7 @@ def _bad_label(d: Digraph, dec: Decomposition, arc: Arc) -> str | None:
             i in skipped for i in range(dec.position(u) + 1, dec.position(v))
         ):
             return "regular"
-    order = natural_backward_ordering(dec, d)
+    order = _backward_ordering(dec, d)
     if order:
         t_last = order[-1][1]
         if (
@@ -155,7 +156,7 @@ def _forced_flow_witness(
     they are exactly the cut arcs, and every spanning eulerian subdigraph
     holds every cut arc, since removing one leaves d without a strong
     spanning subdigraph."""
-    forced = set(dec.backward_arcs(d))
+    forced = set(_backward_arcs(dec, d))
     forced.add(arc)
     return _completed(d, forced)
 
@@ -303,18 +304,19 @@ def _unavoidability(
         if bad:
             raise ConstructionError(f"cut certificate for {arc} failed validation: {bad}")
         return ArcUnavoidability(arc, True, "cut", cert, None, None)
-    rest = d.remove_arcs([arc])
     if d.n >= 4:
-        n_out = rest.out_mask(u)
-        n_in = rest.in_mask(u)
+        # the neighbourhoods in d - (u,v): only u's out-row and v's in-row
+        # lose a bit, and (u,v) cannot cross, since u lies on neither side
+        n_out = d.out_mask(u) & ~(1 << v)
+        n_in = d.in_mask(u)
         if (
-            n_out == rest.out_mask(v)
-            and n_in == rest.in_mask(v)
+            n_out == d.out_mask(v)
+            and n_in == d.in_mask(v) & ~(1 << u)
             and not n_out & n_in
         ):
             outs = [w for w in range(d.n) if n_out >> w & 1]
             ins = [w for w in range(d.n) if n_in >> w & 1]
-            crossing = sum(1 for a in outs for b in ins if rest.has_arc(a, b))
+            crossing = sum(1 for a in outs for b in ins if d.has_arc(a, b))
             if crossing == 1:
                 partition = ObstructionPartition(
                     frozenset(ins), frozenset(outs), frozenset((u, v))

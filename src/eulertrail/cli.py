@@ -22,6 +22,7 @@ import os
 import random
 import sys
 from functools import cache, partial
+from pathlib import Path
 
 from .classify import (
     ArcContainment,
@@ -102,12 +103,12 @@ def _say(args: argparse.Namespace, text: str) -> None:
 
 
 def _load_digraph(path: str) -> Digraph:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     return parse_json(text)
 
 
 def _load_arc_file(path: str) -> frozenset[Arc]:
-    text = sys.stdin.read() if path == "-" else open(path, encoding="utf-8").read()
+    text = sys.stdin.read() if path == "-" else Path(path).read_text(encoding="utf-8")
     try:
         rows = json.loads(text)
     except json.JSONDecodeError as exc:

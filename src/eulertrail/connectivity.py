@@ -148,15 +148,18 @@ def cut_arcs(d: Digraph) -> frozenset[Arc]:
     A 2-arc-strong digraph has none, which the cached arc-connectivity
     tells at once.  Otherwise an arc (u,v) is a cut arc iff v is
     unreachable from u once the arc itself is dropped: any other broken
-    pair could reroute through a surviving u-to-v path.
+    pair could reroute through a surviving u-to-v path.  A two-arc detour
+    u->w->v, read off ``out[u] & in[v]``, settles that without a search.
     """
     if not is_strong(d):
         raise PreconditionError("cut_arcs requires a strong digraph")
     if arc_connectivity(d) >= 2:
         return frozenset()
-    out = d._out  # noqa: SLF001
+    out, into = d._out, d._in  # noqa: SLF001
     result: set[Arc] = set()
     for u, v in d.arcs():
+        if out[u] & into[v]:
+            continue
         seen = 1 << u
         frontier = seen
         while frontier and not seen >> v & 1:

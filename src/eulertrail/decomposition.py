@@ -126,6 +126,7 @@ def natural_backward_ordering(dec: Decomposition, d: Digraph) -> list[Arc]:
     return list(_backward_ordering(dec, d))
 
 
+@lru_cache(maxsize=1024)
 def ignored_sets(dec: Decomposition, d: Digraph) -> frozenset[int]:
     """Positions of the sets skipped by every backward arc's working zone.
 
@@ -133,9 +134,9 @@ def ignored_sets(dec: Decomposition, d: Digraph) -> frozenset[int]:
     of positions: from the tail position of the next backward arc (or the
     first position for the last arc) up to the head position of the
     previous one (or the last position for the first arc).  A set strictly
-    inside any such interval is ignored.
+    inside any such interval is ignored.  Memoised per (dec, d).
     """
-    order = natural_backward_ordering(dec, d)
+    order = _backward_ordering(dec, d)
     r = len(order)
     p = dec.width
     out: set[int] = set()

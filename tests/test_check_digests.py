@@ -1,5 +1,5 @@
-"""Smoke test of ``tools/check_digests.py``: one recorded seed of one
-workload, which must match and leave the recorded digests untouched."""
+"""Smoke tests of ``tools/check_digests.py``: recorded seeds that must
+match and leave the recorded digests untouched."""
 
 import subprocess
 import sys
@@ -8,18 +8,31 @@ from pathlib import Path
 ROOT = Path(__file__).resolve().parent.parent
 
 
-def test_one_recorded_seed_matches_and_nothing_is_written() -> None:
+def _check(workload: str, seed: int) -> tuple[str, str]:
+    """The digest line's failed-item field and verdict, after checking
+    that the run matched and wrote nothing."""
     digests = ROOT / "perfbench" / "digests.json"
     before = digests.read_bytes()
     proc = subprocess.run(
-        [sys.executable, "tools/check_digests.py", "--workload", "avoid-regimes", "1"],
+        [sys.executable, "tools/check_digests.py", "--workload", workload, str(seed)],
         cwd=ROOT, capture_output=True, text=True, check=False,
     )
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == 0, proc.stdout + proc.stderr
     line, total = proc.stdout.splitlines()
-    name, seed, digest, recorded, failed, verdict = line.split()
-    assert (name, seed, verdict) == ("avoid-regimes", "1", "ok")
+    name, got_seed, digest, recorded, failed, verdict = line.split()
+    assert (name, got_seed) == (workload, str(seed))
     assert digest.removeprefix("digest=") == recorded.removeprefix("recorded=")
-    assert failed == "failed=0"
     assert total == "0 mismatched"
     assert digests.read_bytes() == before
+    return failed, verdict
+
+
+def test_one_recorded_seed_matches_and_nothing_is_written() -> None:
+    assert _check("avoid-regimes", 1) == ("failed=0", "ok")
+
+
+def test_classify_all_seed_with_raising_digraphs_keeps_its_verdicts() -> None:
+    """Seed 2 holds digraphs on which ``classify --all`` raises: a change
+    that turns one of those raises into an answer, or an answer into a
+    raise, moves the digest."""
+    assert _check("classify-all", 2) == ("failed=87", "ok")

@@ -4,10 +4,13 @@ Every test drives ``main`` in-process and inspects the JSON payload,
 the stderr summary, and the exit code.
 """
 
+import gc
 import io
 import json
 import os
 import random
+import sys
+import warnings
 
 import pytest
 
@@ -300,6 +303,22 @@ def test_avoid_certificate(tmp_path, capsys):
     assert payload["obstruction"] is None
     assert payload["certificate"] == [[0, 2], [1, 3], [2, 1], [3, 0]]
     assert [0, 1] not in payload["certificate"]
+
+
+def test_input_files_are_closed(tmp_path, capsys, monkeypatch):
+    # an unclosed file warns as it is collected, where an error cannot
+    # propagate, so the errors are gathered from the unraisable hook
+    raised = []
+    monkeypatch.setattr(sys, "unraisablehook", raised.append)
+    path = _digraph_file(tmp_path, complete(4))
+    arcs = _write(tmp_path, "avoid.json", "[[0, 1]]")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", ResourceWarning)
+        assert main(["analyze", "--quiet", path]) == 0
+        assert main(["avoid", "--quiet", path, "--arcs", arcs]) == 0
+        gc.collect()
+    capsys.readouterr()
+    assert [str(r.exc_value) for r in raised] == []
 
 
 def test_avoid_cut_obstruction(tmp_path, capsys):

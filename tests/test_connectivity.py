@@ -1,5 +1,6 @@
 import heapq
 import random
+from collections import deque
 
 import pytest
 from hypothesis import given, settings
@@ -18,6 +19,7 @@ from instances import (
     backward_chain,
     complete,
     random_strong_semicomplete,
+    strong_backward_chain,
     t4,
     three_cycle,
     transitive,
@@ -171,6 +173,76 @@ def test_cut_arcs_match_the_per_arc_search() -> None:
         assert et.cut_arcs(d) == _reference_cut_arcs(d), sorted(d.arcs())
         by_lambda[min(et.arc_connectivity(d), 2)] += 1
     assert by_lambda[1] > 40 and by_lambda[2] > 40, by_lambda
+
+
+def _lambda_one_inputs() -> list[et.Digraph]:
+    """Strong semicomplete digraphs with arc connectivity 1, n = 4-60:
+    backward chains, and random ones with every out-arc but one of a
+    random vertex x turned round, so that x has out-degree 1."""
+    rng = random.Random(2046)
+    found = []
+    while len(found) < 40:
+        n = rng.randint(4, 60)
+        if len(found) % 2:
+            d = strong_backward_chain(n, rng)
+        else:
+            base = random_strong_semicomplete(n, rng.randrange(10**6))
+            x = rng.randrange(n)
+            keep = rng.choice(list(base.out_neighbors(x)))
+            d = et.Digraph(n, {(v, u) if u == x and v != keep else (u, v) for u, v in base.arcs()})
+        if et.is_semicomplete(d) and et.is_strong(d) and et.arc_connectivity(d) == 1:
+            found.append(d)
+    return found
+
+
+def _bfs_reaches(d: et.Digraph, u: int, v: int) -> bool:
+    """Whether v can be reached from u in d - (u,v), by a plain BFS."""
+    seen, queue = {u}, deque([u])
+    while queue:
+        w = queue.popleft()
+        for x in d.out_neighbors(w):
+            if (w, x) != (u, v) and x not in seen:
+                if x == v:
+                    return True
+                seen.add(x)
+                queue.append(x)
+    return False
+
+
+def test_cut_arcs_match_a_plain_search_at_arc_connectivity_one() -> None:
+    """The two-arc-detour skip and the search behind it agree with a BFS
+    per arc; the search runs on cut arcs and on some arcs that survive."""
+    searched_cut = searched_kept = 0
+    for d in _lambda_one_inputs():
+        expected = frozenset(a for a in d.arcs() if not _bfs_reaches(d, *a))
+        assert et.cut_arcs(d) == expected, sorted(d.arcs())
+        for u, v in d.arcs():
+            if not d.out_mask(u) & d.in_mask(v):  # no two-arc detour
+                if (u, v) in expected:
+                    searched_cut += 1
+                else:
+                    searched_kept += 1
+    assert searched_cut > 40 and searched_kept > 40, (searched_cut, searched_kept)
+
+
+def test_memoised_ignored_sets_follow_the_interval_formula() -> None:
+    """Each backward arc, in the natural order, ignores the positions
+    strictly between the next arc's tail (else 0) and the previous arc's
+    head (else the last position)."""
+    ignoring = 0
+    for d in _lambda_one_inputs():
+        dec = et.nice_decomposition(d)
+        order = et.natural_backward_ordering(dec, d)
+        expected: set[int] = set()
+        for j in range(len(order)):
+            lower = dec.position(order[j + 1][0]) if j + 1 < len(order) else 0
+            upper = dec.position(order[j - 1][1]) if j > 0 else dec.width - 1
+            expected.update(range(lower + 1, upper))
+        got = et.ignored_sets(dec, d)
+        assert got == expected
+        assert et.ignored_sets(dec, d) is got  # memoised per (dec, d)
+        ignoring += bool(got)
+    assert ignoring > 5, ignoring
 
 
 def test_arc_connectivity_values() -> None:

@@ -33,18 +33,29 @@ from perfbench.run import Caches, seeded_inputs  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
-def plain(obj):
-    """A JSON-ready form of an answer that is the same whenever the answer is."""
+def plain(obj, memo: dict | None = None):
+    """A JSON-ready form of an answer that is the same whenever the answer is.
+
+    A dataclass or a set met twice in one answer, such as a witness that
+    many rows share, is converted once: ``memo`` maps its id to the object
+    and its form, and holding the object keeps the id from being reused."""
+    if memo is None:
+        memo = {}
+    if id(obj) in memo:
+        return memo[id(obj)][1]
     if dataclasses.is_dataclass(obj) and not isinstance(obj, type):
-        fields = {f.name: plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
-        return {type(obj).__name__: fields}
-    if isinstance(obj, (set, frozenset)):
-        return sorted((plain(x) for x in obj), key=json.dumps)
-    if isinstance(obj, (list, tuple)):
-        return [plain(x) for x in obj]
-    if isinstance(obj, BaseException):
+        fields = {f.name: plain(getattr(obj, f.name), memo) for f in dataclasses.fields(obj)}
+        form = {type(obj).__name__: fields}
+    elif isinstance(obj, (set, frozenset)):
+        form = sorted((plain(x, memo) for x in obj), key=json.dumps)
+    elif isinstance(obj, (list, tuple)):
+        return [plain(x, memo) for x in obj]
+    elif isinstance(obj, BaseException):
         return {"raised": type(obj).__name__, "message": str(obj)}
-    return obj
+    else:
+        return obj
+    memo[id(obj)] = obj, form
+    return form
 
 
 def answers(name: str, seed: int):
