@@ -21,7 +21,7 @@ import json
 import os
 import random
 import sys
-from functools import cache, partial
+from functools import lru_cache, partial
 from pathlib import Path
 
 from .classify import (
@@ -326,7 +326,12 @@ def _run_trial(seed: int, k: int, n_max: int, index: int) -> dict:
         return {"index": index, "status": "certificate"}
     from .oracle import enumerate_spanning_eulerian
 
-    found = enumerate_spanning_eulerian(d, must_avoid=avoid, limit=1)
+    try:
+        found = enumerate_spanning_eulerian(d, must_avoid=avoid, limit=1)
+    except PreconditionError:  # past the oracle's size guard
+        if result is None:
+            return {"index": index, "status": "unknown"}
+        found = []  # the obstruction was checked where it was built
     if found:
         if isinstance(result, (ObstructionPartition, NonStrongCut)):
             raise ConstructionError(
@@ -366,7 +371,7 @@ def run_conjecture_search(
             )
     else:
         results = [worker(i) for i in range(trials)]
-    counts = {"certificate": 0, "skipped": 0, "pipeline-miss": 0, "candidate": 0}
+    counts = {"certificate": 0, "skipped": 0, "pipeline-miss": 0, "unknown": 0, "candidate": 0}
     candidates = []
     for row in results:
         counts[row["status"]] += 1
@@ -380,6 +385,7 @@ def run_conjecture_search(
         "certificates": counts["certificate"],
         "skipped": counts["skipped"],
         "pipeline_misses": counts["pipeline-miss"],
+        "unknowns": counts["unknown"],
         "candidates": candidates,
     }
 
@@ -396,64 +402,92 @@ def cmd_conjecture_search(args: argparse.Namespace) -> int:
         args,
         f"trials={report['trials']} certificates={report['certificates']} "
         f"skipped={report['skipped']} misses={report['pipeline_misses']} "
-        f"candidates={len(report['candidates'])}",
+        f"unknowns={report['unknowns']} candidates={len(report['candidates'])}",
     )
     _emit(report)
-    return EXIT_UNKNOWN if report["candidates"] else EXIT_CERTIFICATE
+    return EXIT_UNKNOWN if report["candidates"] or report["unknowns"] else EXIT_CERTIFICATE
 
 
 # ---- entry point ----
 
 
-@cache
-def _build_parser() -> _Parser:
-    """The argument parser, built once per process: building it costs
-    about ten times as much as a parse."""
-    parser = _Parser(prog="eulertrail", description=__doc__)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
-
-    p = sub.add_parser("analyze", parents=[common], help="connectivity and decomposition report")
+def _add_input(p: argparse.ArgumentParser) -> None:
     p.add_argument("input", help="digraph JSON file, or - for stdin")
+
+
+def _analyze_args(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
     p.add_argument("--format", choices=["json", "dot"], default="json")
-    p.set_defaults(func=cmd_analyze)
 
-    p = sub.add_parser("classify", parents=[common], help="per-arc containment and unavoidability")
-    p.add_argument("input", help="digraph JSON file, or - for stdin")
+
+def _classify_args(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
     group = p.add_mutually_exclusive_group(required=True)
     group.add_argument("--arc", nargs=2, type=int, metavar=("U", "V"))
     group.add_argument("--all", action="store_true")
-    p.set_defaults(func=cmd_classify)
 
-    p = sub.add_parser("trail", parents=[common], help="spanning trail between two vertices")
-    p.add_argument("input", help="digraph JSON file, or - for stdin")
+
+def _trail_args(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
     p.add_argument("--from", dest="src", type=int, required=True, metavar="X")
     p.add_argument("--to", dest="dst", type=int, required=True, metavar="Y")
-    p.set_defaults(func=cmd_trail)
 
-    p = sub.add_parser("avoid", parents=[common], help="spanning eulerian subdigraph avoiding arcs")
-    p.add_argument("input", help="digraph JSON file, or - for stdin")
+
+def _avoid_args(p: argparse.ArgumentParser) -> None:
+    _add_input(p)
     p.add_argument("--arcs", help="JSON file with a list of [tail, head] pairs")
-    p.set_defaults(func=cmd_avoid)
 
-    p = sub.add_parser(
-        "conjecture-search", parents=[common], help="random probe for avoidance counterexamples"
-    )
+
+def _conjecture_search_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--k", type=int, required=True, help="forbidden arcs per instance")
     p.add_argument("--n", type=int, required=True, help="largest vertex count")
     p.add_argument("--trials", type=int, required=True)
     p.add_argument("--seed", type=int, required=True)
     p.add_argument("--jobs", type=int, default=1)
-    p.set_defaults(func=cmd_conjecture_search)
 
+
+# name -> (help text, adds the arguments, runs the command)
+_COMMANDS = {
+    "analyze": ("connectivity and decomposition report", _analyze_args, cmd_analyze),
+    "classify": ("per-arc containment and unavoidability", _classify_args, cmd_classify),
+    "trail": ("spanning trail between two vertices", _trail_args, cmd_trail),
+    "avoid": ("spanning eulerian subdigraph avoiding arcs", _avoid_args, cmd_avoid),
+    "conjecture-search": (
+        "random probe for avoidance counterexamples",
+        _conjecture_search_args,
+        cmd_conjecture_search,
+    ),
+}
+
+
+@lru_cache(maxsize=len(_COMMANDS) + 1)
+def _build_parser(command: str | None) -> _Parser:
+    """The parser for one call: with ``command`` it holds that command's
+    subparser only, with None all of them (for ``--help``, no arguments
+    or an unknown command).  Building all five subparsers takes about
+    four times as long as building one, and far longer than the parse;
+    a call that names its command can reach no other subparser, so the
+    others are not built.  The usage line still lists every command."""
+    parser = _Parser(prog="eulertrail", description=__doc__)
+    # the default metavar lists the commands built; a one-command parser
+    # names them all by hand (a set metavar also renames the argument in
+    # the errors only the full parser gives)
+    every = "{" + ",".join(_COMMANDS) + "}"
+    sub = parser.add_subparsers(dest="command", required=True, metavar=every if command else None)
+    for name in (command,) if command else _COMMANDS:
+        help_text, add_args, func = _COMMANDS[name]
+        p = sub.add_parser(name, help=help_text)
+        p.add_argument("--quiet", action="store_true", help="suppress the stderr summary")
+        add_args(p)
+        p.set_defaults(func=func)
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    if argv is None:
+        argv = sys.argv[1:]
+    command = argv[0] if argv and argv[0] in _COMMANDS else None
+    args = _build_parser(command).parse_args(argv)
     try:
         return args.func(args)
     except (ParseError, PreconditionError, OSError) as exc:

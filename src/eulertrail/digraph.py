@@ -324,7 +324,6 @@ def parse_json(text: str) -> Digraph:
     raw = obj["arcs"]
     if not isinstance(raw, list):
         raise ParseError('"arcs" must be a list of [tail, head] pairs')
-    arcs: list[Arc] = []
     for i, item in enumerate(raw):
         # exact types: json.loads makes plain lists and ints, and a bool
         # is not an int here
@@ -335,9 +334,8 @@ def parse_json(text: str) -> Digraph:
             and type(item[1]) is int
         ):
             raise ParseError(f"arc #{i} must be a pair of integers")
-        arcs.append((item[0], item[1]))
     try:
-        return Digraph(n, arcs)
+        return Digraph(n, raw)  # the checked rows unpack as (tail, head)
     except PreconditionError as exc:
         raise ParseError(str(exc)) from exc
 

@@ -513,7 +513,7 @@ def _spanning_trail(
             )
     trail = _ladder_trail(d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace)
     if trail is None:
-        raise ConstructionError("no spanning trail construction succeeded")
+        raise ConstructionError(f"no spanning trail construction succeeded for ({x}, {y})")
     return trail
 
 

@@ -4,6 +4,7 @@ Every test drives ``main`` in-process and inspects the JSON payload,
 the stderr summary, and the exit code.
 """
 
+import argparse
 import gc
 import io
 import json
@@ -415,8 +416,8 @@ def test_usage_errors_exit_one(tmp_path, capsys):
 
 
 def test_one_process_serves_calls_around_a_usage_error(tmp_path, capsys):
-    # the parser is built once per process; a usage error in between
-    # must neither change its exit code nor leak into the next call
+    # each command's parser is built once per process; a usage error in
+    # between must neither change its exit code nor leak into the next call
     path = _digraph_file(tmp_path, complete(4))
     arcs = _write(tmp_path, "avoid.json", "[[0, 1]]")
     argv = ["avoid", path, "--arcs", arcs]
@@ -430,6 +431,57 @@ def test_one_process_serves_calls_around_a_usage_error(tmp_path, capsys):
     assert main(argv) == 0
     second, _ = capsys.readouterr()
     assert second == first
+
+
+def _outcome(argv, capsys):
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = ("exit", exc.code)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def test_one_command_parser_answers_as_the_full_parser(tmp_path, capsys, monkeypatch):
+    d = _digraph_file(tmp_path, complete(4))
+    arcs = _write(tmp_path, "avoid.json", "[[0, 1]]")
+    valid = {
+        "analyze": ["analyze", d],
+        "classify": ["classify", d, "--arc", "0", "1"],
+        "trail": ["trail", d, "--from", "0", "--to", "1"],
+        "avoid": ["avoid", d, "--arcs", arcs],
+        "conjecture-search": ["conjecture-search", "--k", "1", "--n", "5", "--trials", "2",
+                              "--seed", "1"],
+    }
+    table = [[], ["--help"], ["bogus"], ["--quiet", "avoid", d]]
+    for name, argv in valid.items():
+        table += [argv, [name, "--help"], argv + ["--bogus"], [name]]
+    table += [
+        ["trail", d, "--to", "1"],
+        ["classify", d],
+        ["trail", d, "--from", "x", "--to", "1"],
+    ]
+    one = [_outcome(argv, capsys) for argv in table]
+    full = cli._build_parser(None)
+    monkeypatch.setattr(cli, "_build_parser", lambda command: full)
+    for argv, got in zip(table, one):
+        assert got == _outcome(argv, capsys), argv
+    # the usage line a one-command parser prints still names every command
+    _, _, err = one[table.index(valid["avoid"] + ["--bogus"])]
+    assert err.startswith(
+        "usage: eulertrail [-h] {analyze,classify,trail,avoid,conjecture-search} ...\n"
+    )
+    assert "error: unrecognized arguments: --bogus" in err
+    _, _, err = one[table.index(["bogus"])]
+    assert "error: argument command: invalid choice: 'bogus'" in err
+    monkeypatch.undo()
+
+    def commands(parser):
+        (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+        return list(sub.choices)
+
+    assert commands(cli._build_parser("avoid")) == ["avoid"]
+    assert commands(cli._build_parser(None)) == list(valid)
 
 
 def test_conjecture_search_is_deterministic_across_jobs(capsys):
@@ -474,6 +526,28 @@ def test_conjecture_search_rejects_tiny_n(capsys):
     _, err = capsys.readouterr()
     assert code == 1
     assert "at least 5 vertices" in err
+
+
+def test_conjecture_search_past_the_oracle_guard(capsys, monkeypatch):
+    # trial 0 of seed 0 draws n = 22, where the oracle refuses to search
+    argv = ["conjecture-search", "--k", "1", "--n", "30", "--trials", "1", "--seed", "0"]
+    monkeypatch.setattr(cli, "spanning_eulerian_avoiding", lambda d, arcs: None)
+    assert main(argv) == 3
+    out, err = capsys.readouterr()
+    report = json.loads(out)
+    assert (report["unknowns"], report["pipeline_misses"], report["candidates"]) == (1, 0, [])
+    assert "unknowns=1 candidates=0" in err
+    # a checked obstruction stands as a candidate, as below the guard
+    part = factor.ObstructionPartition(frozenset({0}), frozenset({1}), frozenset())
+    monkeypatch.setattr(cli, "spanning_eulerian_avoiding", lambda d, arcs: part)
+    assert main(argv + ["--quiet"]) == 3
+    report = json.loads(capsys.readouterr().out)
+    assert report["unknowns"] == 0
+    assert [(c["index"], c["digraph"]["n"]) for c in report["candidates"]] == [(0, 22)]
+    # below the guard the oracle still contradicts a false obstruction
+    small = ["conjecture-search", "--k", "1", "--n", "5", "--trials", "1", "--seed", "1"]
+    with pytest.raises(et.ConstructionError, match="contradicted"):
+        main(small)
 
 
 def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeypatch):

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import eulertrail as et
+from eulertrail import trails
 from eulertrail.connectivity import flow_paths
 from eulertrail.trails import (
     _accepted_trail,
@@ -274,6 +275,12 @@ def test_spanning_trail_reports_the_separating_cut() -> None:
         assert "(0, 1)" in str(exc)
     else:  # pragma: no cover
         raise AssertionError("expected a PreconditionError")
+
+
+def test_a_failed_ladder_names_its_pair(monkeypatch) -> None:
+    monkeypatch.setattr(trails, "_ladder_trail", lambda *args, **kwargs: None)
+    with pytest.raises(et.ConstructionError, match=r"succeeded for \(2, 0\)$"):
+        et.spanning_trail(complete(4), 2, 0)
 
 
 def test_spanning_trail_trace_names_a_route() -> None:
