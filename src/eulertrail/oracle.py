@@ -3,10 +3,14 @@
 Everything here decides by brute force: one pruned depth-first search
 over arc subsets for spanning eulerian subdigraphs, trails and factors,
 plus generators sweeping every tournament or semicomplete digraph of a
-given small order.  The search decides the arcs in a fixed order, keeps
-the chosen arcs as an undirected neighbour mask per vertex, and prunes
-only where no solution can lie, so the solutions it yields, and their
-order, depend on the digraph and the constraints alone.  These routines
+given small order.  The search drops the avoided arcs from its bitmask
+rows before it starts, then decides the remaining arcs pair by pair
+(for u < v, first (u,v), then (v,u)), so each vertex closes as soon as
+its own pairs are decided and both prunes fire early.  It keeps the
+chosen arcs as an undirected neighbour mask per vertex and prunes only
+where no solution can lie, so the set of solutions does not depend on
+the order, and the order they come out in depends on the digraph and
+the constraints alone.  These routines
 are the independent check against which the constructive modules are
 validated; they share no logic with them.
 
@@ -20,7 +24,7 @@ import random
 from functools import lru_cache
 from itertools import combinations
 
-from .digraph import Arc, Digraph
+from .digraph import Arc, Digraph, _mask_bits
 from .errors import PreconditionError
 
 ORACLE_MAX_ARCS = 24
@@ -68,48 +72,61 @@ def _search(
     out(v) - in(v) == imbalance.get(v, 0), is touched by at least one arc,
     and (if ``connected``) the chosen arcs form a single weak component.
 
-    Arcs are decided in ``d.arcs()`` order, each taken before it is
-    skipped, so solutions come out in one fixed order.  Two prunes cut the
-    tree, and both are sound: the degree window (each end of the arc just
-    decided can still reach its balance, within its out-cap, with at least
-    one arc) and, if ``connected``, a sealed component (an end with no
-    undecided arcs left lies in a weak component of the chosen arcs whose
-    vertices are all decided, yet which misses a vertex).  The chosen arcs
-    are kept as one undirected neighbour mask per vertex.  At a leaf each
-    vertex passed the window when its last arc was decided and, if
-    ``connected``, the seal test on the last arc saw its component span
-    every vertex, so a leaf is a solution as soon as it is reached; a
-    vertex with no arcs at all can never be covered and empties the search
-    at the start.
+    The avoided arcs leave the bitmask rows before the search starts;
+    those that d lacks or that name a vertex outside 0..n-1 are ignored,
+    and an arc both to contain and to avoid leaves nothing to find.  The
+    remaining arcs are decided pair by pair: for u < v, (u,v) and then
+    (v,u), each taken before it is skipped, so every vertex closes once
+    its own pairs are decided rather than at the last tail, and solutions
+    come out in one fixed order.  Which subsets qualify does not depend
+    on that order; only the order of the list, and so the one that
+    ``limit=1`` returns, does.  Two prunes cut the tree, and both are
+    sound: the degree window (each end of the arc just decided can still
+    reach its balance, within its out-cap, with at least one arc) and, if
+    ``connected``, a sealed component (an end with no undecided arcs left
+    lies in a weak component of the chosen arcs whose vertices are all
+    decided, yet which misses a vertex).  The chosen arcs are kept as one
+    undirected neighbour mask per vertex.  At a leaf each vertex passed
+    the window when its last arc was decided and, if ``connected``, the
+    seal test on the last arc saw its component span every vertex, so a
+    leaf is a solution as soon as it is reached; a vertex with no allowed
+    arcs at all can never be covered and empties the search at the start.
     """
     n = d.n
-    arcs = list(d.arcs())
-    if any(not d.has_arc(u, v) for u, v in must_contain):
+    out_rows = list(d._out)
+    in_rows = list(d._in)
+    for u, v in must_avoid:
+        if 0 <= u < n and 0 <= v < n:
+            out_rows[u] &= ~(1 << v)
+            in_rows[v] &= ~(1 << u)
+    if any(not out_rows[u] >> v & 1 for u, v in must_contain):
         return []
     if n <= 1:
         return [frozenset()]
     if limit is not None and limit <= 0:
         return []
-    if any(not (d.out_mask(v) | d.in_mask(v)) for v in range(n)):
-        return []  # a vertex without arcs can never be covered
+    if any(not (out_rows[v] | in_rows[v]) for v in range(n)):
+        return []  # a vertex without allowed arcs can never be covered
+    arcs: list[Arc] = []
+    for u in range(n):
+        for v in _mask_bits((out_rows[u] | in_rows[u]) >> u + 1 << u + 1):
+            if out_rows[u] >> v & 1:
+                arcs.append((u, v))
+            if out_rows[v] >> u & 1:
+                arcs.append((v, u))
     full = (1 << n) - 1
     steps = []
     still_open = 0  # vertices with an arc after the current one
     for arc in reversed(arcs):
         u, v = arc
-        if arc in must_contain:
-            branches: tuple[bool, ...] = (True,)
-        elif arc in must_avoid:
-            branches = (False,)
-        else:
-            branches = (True, False)
+        branches: tuple[bool, ...] = (True,) if arc in must_contain else (True, False)
         seal_u = connected and not still_open >> u & 1
         seal_v = connected and not still_open >> v & 1
         steps.append((arc, u, v, 1 << u, 1 << v, branches, seal_u, seal_v, still_open))
         still_open |= 1 << u | 1 << v
     steps.reverse()
-    rem_out = [d.out_degree(v) for v in range(n)]
-    rem_in = [d.in_degree(v) for v in range(n)]
+    rem_out = [row.bit_count() for row in out_rows]
+    rem_in = [row.bit_count() for row in in_rows]
     out_used = [0] * n
     # departures the arrivals so far call for: arcs in plus the surplus
     out_due = [imbalance.get(v, 0) for v in range(n)]
@@ -196,13 +213,10 @@ def enumerate_spanning_eulerian(
     oracle size guard.
     """
     _check_size(d)
-    must_contain, must_avoid = frozenset(must_contain), frozenset(must_avoid)
-    if must_contain & must_avoid:
-        return []  # no subdigraph both contains and avoids an arc
     return _search(
         d,
-        must_contain,
-        must_avoid,
+        frozenset(must_contain),
+        frozenset(must_avoid),
         {},
         None,
         limit,

@@ -11,6 +11,7 @@ import json
 import os
 import random
 import sys
+import time
 import warnings
 
 import pytest
@@ -548,6 +549,19 @@ def test_conjecture_search_past_the_oracle_guard(capsys, monkeypatch):
     small = ["conjecture-search", "--k", "1", "--n", "5", "--trials", "1", "--seed", "1"]
     with pytest.raises(et.ConstructionError, match="contradicted"):
         main(small)
+
+
+def test_conjecture_search_answers_a_dense_miss_below_the_guard(capsys, monkeypatch):
+    # trial 1 of seed 0 draws n = 10 with 89 arcs, which the oracle still
+    # searches; the other four trials lie past the guard
+    argv = ["conjecture-search", "--k", "1", "--n", "30", "--trials", "5", "--seed", "0"]
+    monkeypatch.setattr(cli, "spanning_eulerian_avoiding", lambda d, arcs: None)
+    start = time.monotonic()
+    assert main(argv) == 3
+    assert time.monotonic() - start < 10
+    report = json.loads(capsys.readouterr().out)
+    assert (report["pipeline_misses"], report["unknowns"]) == (1, 4)
+    assert report["candidates"] == []
 
 
 def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeypatch):

@@ -112,6 +112,43 @@ def test_factor_oracle_ignores_connectivity() -> None:
     assert not oracle_eulerian_factor(three_cycle(), avoid={(0, 1)})
 
 
+def test_avoided_arcs_outside_the_digraph_change_no_answer() -> None:
+    d = et.gen_d3()
+    stray = {(1, 0), (0, 0), (0, 3), (5, 1), (-1, 0)}  # absent, a loop, off range
+    assert enumerate_spanning_eulerian(d, must_avoid=stray) == enumerate_spanning_eulerian(d)
+    assert oracle_eulerian_factor(d, avoid=stray) == oracle_eulerian_factor(d)
+    assert find_trail_oracle(d, 0, 1, must_avoid=stray) == find_trail_oracle(d, 0, 1)
+    assert find_trail_oracle(d, 1, 2, must_avoid=stray) is None
+    k4 = complete(4)
+    for avoid in ({(0, 1)}, {(0, 1), (3, 9)}, {(0, 1), (1, 1), (7, 7)}):
+        assert enumerate_spanning_eulerian(k4, must_avoid=avoid) == (
+            enumerate_spanning_eulerian(k4, must_avoid={(0, 1)})
+        )
+
+
+def test_avoiding_every_arc_at_a_vertex_leaves_nothing() -> None:
+    d = complete(4)
+    at_two = {(u, v) for u, v in d.arcs() if 2 in (u, v)}
+    assert not oracle_eulerian_factor(d, avoid=at_two)
+    assert enumerate_spanning_eulerian(d, must_avoid=at_two) == []
+    assert find_trail_oracle(d, 0, 1, must_avoid=at_two) is None
+    # the same holds with the vertex's arcs only half avoided: its
+    # remaining arcs all leave it, so it can never balance
+    into_two = {(u, 2) for u in range(4) if u != 2}
+    assert not oracle_eulerian_factor(d, avoid=into_two)
+    assert enumerate_spanning_eulerian(d, must_avoid=into_two) == []
+
+
+def test_a_contained_arc_the_digraph_lacks_leaves_nothing() -> None:
+    d = et.gen_d3()
+    assert not d.has_arc(1, 0)
+    assert enumerate_spanning_eulerian(d, must_contain={(1, 0)}) == []
+    assert enumerate_spanning_eulerian(d, must_contain={(1, 0)}, limit=1) == []
+    assert enumerate_spanning_eulerian(
+        d, must_contain={(1, 0)}, must_avoid={(2, 1)}
+    ) == []
+
+
 def test_size_guard() -> None:
     ring = et.Digraph(26, [(i, (i + 1) % 26) for i in range(26)])
     with pytest.raises(et.PreconditionError):
@@ -169,10 +206,12 @@ def _reference_connected_covering(n, arcs):
 
 def _reference_search(d, must_contain, must_avoid, imbalance, out_cap, limit, connected):
     """The subset search as it was before it kept its state in bitmask
-    rows: the degree window in a helper, and the seal test rebuilding an
-    adjacency dict from the chosen arcs at every node."""
+    rows: the degree window in a helper, the seal test rebuilding an
+    adjacency dict from the chosen arcs at every node, and avoided arcs
+    decided as one-branch nodes.  It decides the arcs pair by pair, as
+    ``_search`` does, so the two list their solutions in the same order."""
     n = d.n
-    arcs = list(d.arcs())
+    arcs = sorted(d.arcs(), key=lambda a: (min(a), max(a), a[0] > a[1]))
     if any(not d.has_arc(u, v) for u, v in must_contain):
         return []
     if n <= 1:
