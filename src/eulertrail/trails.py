@@ -4,16 +4,20 @@ The central routine, ``spanning_trail``, turns two arc-disjoint (x,y)-paths
 into a spanning (x,y)-trail that avoids the arc yx and leaves every vertex
 at most twice (the terminal y at most once).  The construction runs a case
 ladder over how the digraph decomposes once the shorter path's arcs are
-removed.  A candidate is accepted only as a checked trail that keeps that
-promise; a rejected one falls through to the next strategy, ending with a
-completion via circulation and finally a brute-force search on small
-inputs.
+removed.  Every rung hands its candidate over as bitmask out-rows (bit v
+of ``rows[u]`` is the arc (u,v)), and one pass over the rows checks them
+against the digraph and that promise before one Hierholzer walk orders
+them into the trail; a rejected candidate falls through to the next
+strategy, ending with a completion via circulation and finally a
+brute-force search on small inputs.  ``arcs_to_trail`` and
+``closed_tour`` run the same walk on the rows of an arc set.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Iterable
 
 from .connectivity import (
@@ -126,50 +130,91 @@ def _degree_issues(
 # ---- arc-set utilities ----
 
 
-def _euler_walk(arcs: Iterable[Arc], start: int) -> list[int]:
-    """Hierholzer walk from start that takes the smallest unused head
-    first; it uses every arc only when the arcs form one trail."""
-    heads: dict[int, int] = {}  # bitmask row of each tail's unused heads
-    for u, v in arcs:
-        heads[u] = heads.get(u, 0) | 1 << v
+def _euler_walk(rows: list[int], start: int) -> list[int]:
+    """Hierholzer walk from start over the out-rows ``rows`` (bit v of
+    ``rows[u]`` is the arc (u,v)), smallest head first; it consumes the
+    rows.  It uses every arc only when the arcs form one trail."""
     stack = [start]
     walk: list[int] = []
     while stack:
         v = stack.pop()
-        row = heads.get(v, 0)
+        row = rows[v]
         while row:  # walk on from v, stacking each vertex left behind
             stack.append(v)
             low = row & -row
-            heads[v] = row ^ low
+            rows[v] = row ^ low
             v = low.bit_length() - 1
-            row = heads.get(v, 0)
+            row = rows[v]
         walk.append(v)
     walk.reverse()
     return walk
 
 
+def _trail_walk(rows: list[int], m: int, x: int, y: int) -> list[int] | None:
+    """The (x,y)-trail that uses each of the m arcs of ``rows`` once, or
+    None when they form no such trail.  Consumes the rows."""
+    walk = _euler_walk(rows.copy(), x)
+    if len(walk) != m + 1 or walk[-1] != y:
+        return None
+    # on an unbalanced arc set the walk can step between arcs it does not
+    # hold, so each step must clear an arc that is still there
+    for u, v in zip(walk, walk[1:]):
+        bit = 1 << v
+        if not rows[u] & bit:
+            return None
+        rows[u] ^= bit
+    return walk
+
+
+def _rows_of(arcs: Iterable[Arc], n: int) -> list[int]:
+    """Out-rows of arcs of a digraph on n vertices: bit v of ``rows[u]``
+    is the arc (u,v)."""
+    rows = [0] * n
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return rows
+
+
+def _arc_rows(arcs, *ends: int) -> tuple[list[int], int]:
+    """Out-rows of an arc set on the vertices up to its largest end or
+    named end, and the number of distinct arcs.  A negative end names no
+    row, so it raises ConstructionError as any set that forms no trail."""
+    arcs = set(arcs)
+    ends = (*ends, *(v for arc in arcs for v in arc))
+    if min(ends) < 0:
+        raise ConstructionError("an arc or a terminal lies outside the vertices")
+    return _rows_of(arcs, max(ends) + 1), len(arcs)
+
+
 def arcs_to_trail(arcs, x: int, y: int) -> Trail:
     """Order an arc set into one open (x,y)-trail (Hierholzer); raises
     ConstructionError when the arcs form no such trail."""
-    arcs = set(arcs)
-    walk = _euler_walk(arcs, x)
-    # on an unbalanced arc set the walk can step between arcs it does not hold
-    if len(walk) != len(arcs) + 1 or walk[-1] != y or set(zip(walk, walk[1:])) != arcs:
+    walk = _trail_walk(*_arc_rows(arcs, x, y), x, y)
+    if walk is None:
         raise ConstructionError("arc set does not form a single (x,y)-trail")
     return Trail(tuple(walk))
 
 
 def closed_tour(arcs, start: int) -> list[int]:
     """Vertex sequence of a closed eulerian tour of a balanced arc set."""
-    arcs = list(arcs)
-    walk = _euler_walk(arcs, start)
-    if len(walk) != len(arcs) + 1 or walk[-1] != start:
+    walk = _trail_walk(*_arc_rows(arcs, start), start, start)
+    if walk is None:
         raise ConstructionError("arc set does not form a single closed tour")
     return walk[:-1]
 
 
 def _path_arcs(path: list[int]) -> list[Arc]:
     return [(path[i], path[i + 1]) for i in range(len(path) - 1)]
+
+
+def _cycle_rows(cycle: list[int] | tuple[int, ...], n: int) -> list[int]:
+    """Out-rows of a cycle's arcs on n vertices."""
+    rows = [0] * n
+    u = cycle[-1]
+    for v in cycle:
+        rows[u] |= 1 << v
+        u = v
+    return rows
 
 
 # ---- minimal path pair ----
@@ -229,22 +274,28 @@ def _note(trace: list[str] | None, tag: str) -> None:
 
 def _direct_arc_case(
     d: Digraph, x: int, y: int, two_strong: bool, trace: list[str] | None
-) -> frozenset[Arc] | None:
+) -> list[int] | None:
     """Cases where xy is an arc: one covering cycle plus the arc itself.
 
     ``two_strong`` says that d is known to be 2-arc-strong.  Then h = d
     minus xy and yx is strong without a test: a directed cut of d holds
     at least two arcs, and at most one of xy and yx."""
-    d0 = d.remove_arcs([(y, x)]) if d.has_arc(y, x) else d
-    h = d0.remove_arcs([(x, y)])
-    if two_strong or is_strong(h):
-        # the cycle avoids xy and covers every vertex but y; the core
-        # misses y, so d has the core arcs of d0 and its memo serves
+    n = d.n
+    # the cycle avoids xy and covers every vertex but y; the core misses
+    # y, so d has the core arcs of h and its memo serves.  When d is
+    # 2-arc-strong and the core, of two or more vertices, is strong, the
+    # memo's hamiltonian cycle of the core is that cycle and h is not read
+    core = (1 << n) - 1 & ~(1 << y)
+    cyc = _cached_cycle(d, core) if two_strong and core & (core - 1) else None
+    h = None
+    if cyc is None:
+        d0 = d.remove_arcs([(y, x)]) if d.has_arc(y, x) else d
+        h = d0.remove_arcs([(x, y)])
+    if cyc is not None or two_strong or is_strong(h):
         _note(trace, "direct-arc-covering-cycle")
-        cyc = _covering_cycle(d, h, (1 << d.n) - 1 & ~(1 << y))
-        arcs = set(_cycle_arcs(cyc))
-        arcs.add((x, y))
-        return frozenset(arcs)
+        rows = _cycle_rows(_covering_cycle(d, h, core) if cyc is None else cyc, n)
+        rows[x] |= 1 << y
+        return rows
     # removing xy keeps d strong (the second disjoint path reroutes), and
     # yx is a cut arc there, so every hamiltonian cycle must traverse it;
     # without yx, d minus xy is not semicomplete and no cycle is sought.
@@ -252,18 +303,11 @@ def _direct_arc_case(
     _note(trace, "direct-arc-ham-cycle")
     if not d.has_arc(y, x):
         return None
-    cyc = _cycle(d.remove_arcs([(x, y)]), (1 << d.n) - 1)
-    arcs = set(_cycle_arcs(cyc))
-    if (y, x) not in arcs:
+    rows = _cycle_rows(_cycle(d.remove_arcs([(x, y)]), (1 << n) - 1), n)
+    if not rows[y] >> x & 1:
         return None
-    arcs.discard((y, x))
-    return frozenset(arcs)
-
-
-def _cycle_arcs(cycle: list[int]) -> list[Arc]:
-    return [
-        (cycle[i], cycle[(i + 1) % len(cycle)]) for i in range(len(cycle))
-    ]
+    rows[y] ^= 1 << x
+    return rows
 
 
 def _split_case(
@@ -274,7 +318,7 @@ def _split_case(
     p1: list[int],
     allow_mirror: bool,
     trace: list[str] | None,
-) -> frozenset[Arc] | None:
+) -> list[int] | None:
     """Cases for xy absent and d minus yx strong, relative to one path."""
     p1_arcs = _path_arcs(p1)
     h = dprime.remove_arcs(p1_arcs)
@@ -283,8 +327,10 @@ def _split_case(
         # the cycle avoids p1's arcs and covers every vertex off p1, plus x;
         # y lies on p1, so d has the core arcs of dprime
         _note(trace, "path-plus-covering-cycle")
-        cyc = _covering_cycle(d, h, full & ~_mask_of(p1) | 1 << x)
-        return frozenset(set(_cycle_arcs(cyc)) | set(p1_arcs))
+        rows = _cycle_rows(_covering_cycle(d, h, full & ~_mask_of(p1) | 1 << x), d.n)
+        for u, v in p1_arcs:
+            rows[u] |= 1 << v
+        return rows
     comps = _components(h, full)
     tail = comps[-1]
     head = full & ~tail
@@ -296,7 +342,7 @@ def _split_case(
         got = _ladder_trail(rev, y, x, allow_mirror=False, two_strong=False, trace=trace)
         if got is None:
             return None
-        return frozenset((b, a) for a, b in got.arcs())
+        return _rows_of(((b, a) for a, b in got.arcs()), d.n)
     return None
 
 
@@ -308,7 +354,7 @@ def _absorb_head_side(
     tail: int,
     head: int,
     trace: list[str] | None,
-) -> frozenset[Arc] | None:
+) -> list[int] | None:
     """Both terminals sit in the sink side: recurse there, splice the rest.
 
     The path p1 crosses into the source side exactly once; that side is
@@ -355,7 +401,7 @@ def _absorb_head_side(
     w_arcs.add((w1, x1))
     w_arcs.update(_path_arcs(q))
     w_arcs.add((tq, u))
-    return frozenset(w_arcs)
+    return _rows_of(w_arcs, d.n)
 
 
 def _completion_case(
@@ -365,7 +411,7 @@ def _completion_case(
     y: int,
     base_path: list[int],
     trace: list[str] | None,
-) -> frozenset[Arc] | None:
+) -> list[int] | None:
     """Cover the vertices missed by one path with cycles via circulation."""
     t0 = set(_path_arcs(base_path))
     covered = set(base_path)
@@ -379,31 +425,32 @@ def _completion_case(
     if picked is None:
         return None
     _note(trace, "circulation-completion")
-    return frozenset(t0.union(picked))
+    return _rows_of(t0.union(picked), d.n)
 
 
-def _accepted_trail(d: Digraph, arcs, x: int, y: int) -> Trail | None:
-    """The candidate arcs as a spanning (x,y)-trail of d that keeps
-    ``spanning_trail``'s promise, or None when they are not one.  Past
-    ``arcs_to_trail``, one pass over the walk checks its steps against
-    d, its cover and the promise."""
-    try:
-        trail = arcs_to_trail(arcs, x, y)
-    except ConstructionError:
-        return None
+def _accepted_trail(d: Digraph, rows: list[int], x: int, y: int) -> Trail | None:
+    """The candidate with out-rows ``rows`` (bit v of ``rows[u]`` is the
+    arc (u,v)) as a spanning (x,y)-trail of d that keeps
+    ``spanning_trail``'s promise, or None when it is not one.  One pass
+    over the rows checks them against d, the promise and the cover; one
+    walk then orders the arcs.  Consumes the rows."""
     out = d._out  # noqa: SLF001 - package-internal
-    seq = trail.vertices
-    leaves = [0] * d.n
+    m = 0
     reached = 1 << x
-    for u, v in zip(seq, seq[1:]):
-        # a head beyond n-1 reads as no arc here, and so never becomes a tail
-        if not out[u] >> v & 1 or leaves[u] == 2:
+    for u, row in enumerate(rows):
+        # a bit at n or beyond lies outside every row of d
+        if row & ~out[u]:
             return None
-        leaves[u] += 1
-        reached |= 1 << v
-    if reached != (1 << d.n) - 1 or leaves[y] > 1 or (y, x) in arcs:
+        k = row.bit_count()
+        if k > 2:
+            return None
+        m += k
+        reached |= row
+    last = rows[y]
+    if reached != (1 << d.n) - 1 or last & (last - 1) or last >> x & 1:
         return None
-    return trail
+    walk = _trail_walk(rows, m, x, y)
+    return None if walk is None else Trail(tuple(walk))
 
 
 def _ladder_trail(
@@ -421,6 +468,7 @@ def _ladder_trail(
     sink side plus at most one arc, once that is found strong.
     ``two_strong`` says that d is known to be 2-arc-strong, so that no
     strongness test after removing one arc, or one 2-cycle, is needed.
+    Every rung hands its candidate over as out-rows.
     """
 
     def attempt(thunk) -> Trail | None:
@@ -438,11 +486,11 @@ def _ladder_trail(
         dprime = d.remove_arcs([(y, x)])
         if not (two_strong or is_strong(dprime)):
             # yx is a cut arc, so it lies on every hamiltonian cycle of d
-            def via_ham() -> frozenset[Arc]:
+            def via_ham() -> list[int]:
                 _note(trace, "cut-arc-ham-cycle")
-                arcs = set(_cycle_arcs(_cached_cycle(d, (1 << d.n) - 1)))
-                arcs.discard((y, x))
-                return frozenset(arcs)
+                rows = _cycle_rows(_cached_cycle(d, (1 << d.n) - 1), d.n)
+                rows[y] &= ~(1 << x)
+                return rows
 
             got = attempt(via_ham)
             if got is not None:
@@ -470,10 +518,17 @@ def _ladder_trail(
         found = oracle.find_trail_oracle(d, x, y, must_avoid={(y, x)}, out_cap=caps)
     except PreconditionError:
         return None
-    got = None if found is None else _accepted_trail(d, found, x, y)
+    got = None if found is None else _accepted_trail(d, _rows_of(found, d.n), x, y)
     if got is not None:
         _note(trace, "exhaustive")
     return got
+
+
+@lru_cache(maxsize=1024)
+def _semicomplete(d: Digraph) -> bool:
+    """``is_semicomplete``, memoised per digraph for ``spanning_trail``,
+    which asks it of every pair; the public predicate stays uncached."""
+    return is_semicomplete(d)
 
 
 def spanning_trail(
@@ -486,7 +541,7 @@ def spanning_trail(
     separating cut.  The returned trail never uses the arc from y to x,
     leaves each vertex at most twice, and leaves y at most once.
     """
-    if not is_semicomplete(d):
+    if not _semicomplete(d):
         raise PreconditionError("spanning_trail requires a semicomplete digraph")
     if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
         raise PreconditionError("x and y must be distinct vertices")

@@ -36,3 +36,10 @@ def test_classify_all_seed_with_raising_digraphs_keeps_its_verdicts() -> None:
     that turns one of those raises into an answer, or an answer into a
     raise, moves the digest."""
     assert _check("classify-all", 2) == ("failed=87", "ok")
+
+
+def test_trail_pairs_seed_keeps_its_known_gap() -> None:
+    """Seed 0 holds the one trail-pairs item the ladder cannot answer, the
+    pair (4,7) of input 24: a candidate check that refuses a sound trail
+    adds a failure, and one that passes an unsound candidate hides it."""
+    assert _check("trail-pairs", 0) == ("failed=1", "ok")

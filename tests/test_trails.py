@@ -160,31 +160,65 @@ def test_arcs_to_trail_refuses_an_unbalanced_arc_set() -> None:
         arcs_to_trail({(0, 1), (1, 3), (0, 2)}, 0, 3)
 
 
+def test_arc_sets_with_an_end_outside_the_vertices_form_no_trail() -> None:
+    # a negative end names no row: it must be refused, not shifted by
+    with pytest.raises(et.ConstructionError):
+        arcs_to_trail({(0, -1)}, 0, -1)
+    with pytest.raises(et.ConstructionError):
+        arcs_to_trail({(0, 1)}, -1, 1)
+    with pytest.raises(et.ConstructionError):
+        closed_tour([(0, -1), (-1, 0)], 0)
+    with pytest.raises(et.ConstructionError):
+        closed_tour([], -2)
+
+
 def test_ladder_rejects_a_candidate_using_yx() -> None:
     d = complete(3)
     arcs = {(0, 2), (2, 1), (1, 0), (0, 1)}  # the spanning trail 0-2-1-0-1
     assert arcs_to_trail(arcs, 0, 1).check(d, 0, 1) == []
-    assert _accepted_trail(d, arcs, 0, 1) is None
+    assert _accepted(d, arcs, 0, 1) is None
 
 
 def test_ladder_rejects_a_candidate_leaving_a_vertex_three_times() -> None:
     d = complete(4)
     thrice = {(0, 2), (2, 0), (0, 3), (3, 0), (0, 1)}  # 0-2-0-3-0-1
     assert arcs_to_trail(thrice, 0, 1).check(d, 0, 1) == []
-    assert _accepted_trail(d, thrice, 0, 1) is None
+    assert _accepted(d, thrice, 0, 1) is None
     y_twice = {(0, 1), (1, 2), (2, 1), (1, 3), (3, 1)}  # 0-1-2-1-3-1
     assert arcs_to_trail(y_twice, 0, 1).check(d, 0, 1) == []
-    assert _accepted_trail(d, y_twice, 0, 1) is None
+    assert _accepted(d, y_twice, 0, 1) is None
     twice = {(0, 2), (2, 0), (0, 3), (3, 1)}  # 0-2-0-3-1 keeps the promise
-    assert _accepted_trail(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
+    assert _accepted(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
+
+
+def _rows(arcs, n: int) -> list[int]:
+    """Out-rows of an arc set on n vertices: bit v of ``rows[u]`` is (u,v)."""
+    rows = [0] * n
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return rows
+
+
+def _accepted(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
+    """``_accepted_trail`` on the out-rows of an arc set of d."""
+    return _accepted_trail(d, _rows(arcs, d.n), x, y)
+
+
+def _set_based_trail(arcs, x: int, y: int) -> et.Trail | None:
+    """``arcs_to_trail`` as it was: the dict-keyed walk, then its arcs
+    compared with the set as a set; None where that raised."""
+    arcs = set(arcs)
+    walk = _reference_walk(arcs, x)
+    if len(walk) != len(arcs) + 1 or walk[-1] != y or set(zip(walk, walk[1:])) != arcs:
+        return None
+    return et.Trail(tuple(walk))
 
 
 def _two_pass_accepted_trail(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
-    """The reference acceptance: ``arcs_to_trail``, then ``Trail.check``
-    and the promise, each in its own pass."""
-    try:
-        trail = arcs_to_trail(arcs, x, y)
-    except et.ConstructionError:
+    """The reference acceptance: the set-based ``arcs_to_trail``, then
+    ``Trail.check`` and the promise, each in its own pass."""
+    trail = _set_based_trail(arcs, x, y)
+    if trail is None:
         return None
     leaves = [0] * d.n
     for v in trail.vertices[:-1]:
@@ -209,9 +243,25 @@ def test_accepted_trail_matches_the_two_pass_reference_on_mutants() -> None:
         (d, kept, 2, 1, False),
     ]
     for host, arcs, x, y, accepted in cases:
-        got = _accepted_trail(host, arcs, x, y)
+        got = _accepted(host, arcs, x, y)
         assert got == _two_pass_accepted_trail(host, arcs, x, y)
         assert (got is not None) == accepted, (sorted(arcs), x, y)
+
+
+def test_accepted_trail_refuses_rows_that_name_no_arc_of_d() -> None:
+    """Mutants that only out-rows can express: a bit at position n, a bit
+    for an arc that d lacks, and the bit for yx beside a kept trail."""
+    d = complete(4)
+    kept = _rows({(0, 2), (2, 0), (0, 3), (3, 1)}, 4)  # 0-2-0-3-1
+    assert _accepted_trail(d, list(kept), 0, 1) == et.Trail((0, 2, 0, 3, 1))
+    beyond = list(kept)
+    beyond[3] |= 1 << 4  # the arc (3,4) of no vertex 4
+    assert _accepted_trail(d, beyond, 0, 1) is None
+    lacking = d.remove_arcs([(2, 0)])
+    assert _accepted_trail(lacking, list(kept), 0, 1) is None
+    yx = list(kept)
+    yx[1] |= 1 << 0
+    assert _accepted_trail(d, yx, 0, 1) is None
 
 
 def test_accepted_trail_matches_the_two_pass_reference_on_random_walks() -> None:
@@ -241,7 +291,7 @@ def test_accepted_trail_matches_the_two_pass_reference_on_random_walks() -> None
             arcs.add(rng.choice([a for a in host.arcs() if a not in arcs] or [(x, y)]))
         if rng.random() < 0.15:
             x, y = rng.sample(range(n), 2)
-        got = _accepted_trail(host, arcs, x, y)
+        got = _accepted(host, arcs, x, y)
         assert got == _two_pass_accepted_trail(host, arcs, x, y), (n, sorted(arcs), x, y)
         verdicts[got is not None] += 1
     assert min(verdicts.values()) > 200, verdicts
@@ -461,8 +511,35 @@ def test_euler_walk_matches_the_dict_keyed_walk() -> None:
         n = rng.randint(2, 14)
         arcs = _random_arc_set(rng, n, balanced=i % 2 == 1)
         for start in rng.sample(range(n), min(3, n)):
-            walk = _euler_walk(arcs, start)
+            walk = _euler_walk(_rows(arcs, n), start)
             assert walk == _reference_walk(arcs, start)
             if i % 2 and len(walk) == len(arcs) + 1:
                 balanced_tours += 1
     assert balanced_tours > 300
+
+
+def test_arc_set_adapters_match_the_set_based_walk() -> None:
+    """``arcs_to_trail`` and ``closed_tour`` on rows give the trail or
+    tour that the dict-keyed walk with a set comparison gave, and raise
+    where it found none, on balanced and unbalanced random arc sets."""
+    rng = random.Random(2906)
+    trails_found = tours_found = 0
+    for i in range(800):
+        n = rng.randint(2, 12)
+        arcs = _random_arc_set(rng, n, balanced=i % 2 == 1)
+        pairs = [rng.sample(range(n), 2), (rng.randrange(n),) * 2]
+        if i % 4 == 1 and arcs:  # a (v,u)-trail when a tour drops (u,v)
+            u, v = rng.choice(sorted(arcs))
+            arcs.discard((u, v))
+            pairs.append((v, u))
+        for x, y in pairs:
+            want = _set_based_trail(arcs, x, y)
+            try:
+                got = arcs_to_trail(arcs, x, y) if x != y else et.Trail((*closed_tour(arcs, x), x))
+            except et.ConstructionError:
+                got = None
+            assert got == want, (n, sorted(arcs), x, y)
+            if got is not None:
+                trails_found += x != y
+                tours_found += x == y
+    assert trails_found > 100 and tours_found > 100, (trails_found, tours_found)
