@@ -6,42 +6,25 @@ breadth-first search, in the idiom of ``connectivity._max_flow``.
 
 from __future__ import annotations
 
-from .digraph import _mask_bits, _mask_of
+from typing import Sequence
+
+from .digraph import _mask_of
 from .errors import PreconditionError
 
 
-def degree_bounded_subgraph(
-    n: int,
-    arcs: list[tuple[int, int]],
-    lo: list[int],
-    hi: list[int],
-    surplus: list[int] | None = None,
-) -> tuple[list[tuple[int, int]] | None, frozenset[int], frozenset[int]]:
-    """Pick each of ``arcs`` at most once under per-vertex degree bounds.
+def _circulate(
+    offered: Sequence[int], lo: list[int], hi: list[int], surplus: list[int] | None = None
+) -> tuple[list[int] | None, int, int]:
+    """Pick each arc of the out-rows ``offered`` (bit v of ``offered[u]``
+    is the arc (u,v)) at most once under per-vertex degree bounds.
 
     At every vertex v the picked arcs leave ``surplus[v]`` (0 by default)
     more times than they enter, and between ``lo[v]`` and ``hi[v]`` of
-    them pass through v.  Returns the picked arcs in input order and two
-    empty sets; when no choice exists, None plus the vertices whose entry
-    side and whose exit side lie on the source side of the blocking cut.
-    A surplus that does not sum to 0 raises PreconditionError.
-    """
-    free = [0] * n
-    for u, v in arcs:
-        free[u] |= 1 << v
-    taken, entry, exit_ = _circulate(free, lo, hi, surplus)
-    if taken is None:
-        return None, frozenset(_mask_bits(entry)), frozenset(_mask_bits(exit_))
-    return [(u, v) for u, v in arcs if taken[v] >> u & 1], frozenset(), frozenset()
-
-
-def _circulate(
-    free: list[int], lo: list[int], hi: list[int], surplus: list[int] | None = None
-) -> tuple[list[int] | None, int, int]:
-    """``degree_bounded_subgraph`` on the rows ``free``, which it consumes:
-    bit v of ``free[u]`` offers (u,v).  Returns rows ``taken``, bit u of
-    ``taken[v]`` for a picked (u,v), and two zero masks; else None and the
-    masks of the entry and the exit sides on the cut's source side.
+    them pass through v.  Returns the picked arcs as out-rows and two zero
+    masks; when no choice exists, None plus the masks of the vertices
+    whose entry side and whose exit side lie on the source side of the
+    blocking cut.  ``offered`` is left as it is.  A surplus that does not
+    sum to 0 raises PreconditionError.
 
     Solved as a circulation on the split-node network: arc (u, v) runs
     from the exit side of u to the entry side of v, and vertex v's own
@@ -57,14 +40,15 @@ def _circulate(
     which Edmonds-Karp searches the network built from the arcs sorted,
     so it picks what that would.
     """
-    n = len(free)
+    n = len(offered)
     if surplus is None:
         surplus = [0] * n
     elif sum(surplus) != 0:
         raise PreconditionError(f"surplus sums to {sum(surplus)}, not 0")
     if any(a > b for a, b in zip(lo, hi)):
         return None, (1 << n) - 1, (1 << n) - 1
-    taken = [0] * n  # taken[v] bit u: arc (u,v) picked; free loses it meanwhile
+    free = list(offered)  # the arcs not picked; offered[u] ^ free[u] are u's picks
+    taken = [0] * n  # taken[v] bit u: arc (u,v) picked, for the entry sides' scans
     room = [b - a for a, b in zip(lo, hi)]  # own-edge units allowed above lo
     extra = [0] * n  # own-edge units carried above lo
     supply = [a + max(s, 0) for a, s in zip(lo, surplus)]
@@ -142,4 +126,4 @@ def _circulate(
         if not supply[u]:
             stocked ^= 1 << u
             sources.remove(u)
-    return taken, 0, 0
+    return [a ^ b for a, b in zip(offered, free)], 0, 0

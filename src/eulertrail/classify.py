@@ -44,7 +44,7 @@ from .decomposition import (
     ignored_sets,
     nice_decomposition,
 )
-from .digraph import Arc, Digraph, _mask_bits, is_semicomplete, require_arcs
+from .digraph import Arc, Digraph, _row_arcs, is_semicomplete, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, _merge, spanning_eulerian_avoiding
 from ._flow import _circulate
@@ -139,11 +139,10 @@ def _completed(d: Digraph, forced: set[Arc]) -> frozenset[Arc] | None:
         surplus[a] -= 1
         surplus[b] += 1
         lo[a] = lo[b] = 0
-    taken, _, _ = _circulate(free, lo, [n] * n, surplus)
-    if taken is None:
+    picked, _, _ = _circulate(free, lo, [n] * n, surplus)
+    if picked is None:
         return None
-    picked = {(u, v) for v in range(n) for u in _mask_bits(taken[v])}
-    return _merge(d, picked.union(forced), frozenset(forced))
+    return _merge(d, _row_arcs(picked).union(forced), frozenset(forced))
 
 
 def _forced_flow_witness(

@@ -209,15 +209,6 @@ def shortest_walk(
     return None
 
 
-def flow_paths(arcs: Iterable[Arc], x: int, y: int, k: int) -> list[list[int]]:
-    """``_row_paths`` on the bitmask rows of the arcs of a unit flow."""
-    arcs = list(arcs)
-    rows = [0] * (1 + max([x, y, *(max(a) for a in arcs)]))
-    for u, v in arcs:
-        rows[u] |= 1 << v
-    return _row_paths(rows, x, y, k)
-
-
 def _row_paths(fwd: Sequence[int], x: int, y: int, k: int) -> list[list[int]]:
     """k simple (x,y)-paths read off flow rows: bit v of ``fwd[u]`` marks a flow arc (u,v).
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 
-from .connectivity import _strong, arc_disjoint_paths, cut_arcs, is_strong, strong_components
+from .connectivity import _max_flow, _strong, cut_arcs, is_strong, strong_components
 from .digraph import Arc, Digraph, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 
@@ -233,8 +233,7 @@ def verify_structure(dec: Decomposition, d: Digraph) -> list[str]:
         i = dec.position(t_j)
         if i == dec.position(s_n) and t_j != s_n:
             sub, ids = d.induced(dec.sets[i])
-            res = arc_disjoint_paths(sub, ids.index(t_j), ids.index(s_n), 2)
-            if not isinstance(res, list):
+            if _max_flow(sub, ids.index(t_j), ids.index(s_n), limit=2)[0] < 2:
                 issues.append(
                     f"no two arc-disjoint routes from {t_j} to {s_n} inside set {i}"
                 )

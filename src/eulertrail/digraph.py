@@ -37,6 +37,20 @@ def _mask_of(vertices: Iterable[int]) -> int:
     return mask
 
 
+def _rows_of(arcs: Iterable[Arc], n: int) -> list[int]:
+    """Out-rows of arcs of a digraph on n vertices: bit v of ``rows[u]``
+    is the arc (u,v)."""
+    rows = [0] * n
+    for u, v in arcs:
+        rows[u] |= 1 << v
+    return rows
+
+
+def _row_arcs(rows: Iterable[int]) -> set[Arc]:
+    """The arcs of out-rows, the inverse of ``_rows_of``."""
+    return {(u, v) for u, row in enumerate(rows) for v in _mask_bits(row)}
+
+
 class Digraph:
     """Immutable simple digraph on vertices ``0..n-1``."""
 

@@ -23,7 +23,7 @@ import random
 from collections import Counter
 from dataclasses import dataclass
 
-from ._flow import degree_bounded_subgraph
+from ._flow import _circulate
 from .connectivity import (
     CutCertificate,
     _closure,
@@ -31,7 +31,7 @@ from .connectivity import (
     arc_connectivity_certificate,
     is_strong,
 )
-from .digraph import Arc, Digraph, _mask_bits, _mask_of, require_arcs
+from .digraph import Arc, Digraph, _mask_bits, _mask_of, _row_arcs, _rows_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
 from .trails import EulerianSubdigraph, _degree_issues, closed_tour
@@ -146,14 +146,6 @@ def _weak_masks(n: int, arcs) -> list[int]:
     return comps
 
 
-def _factor_arcs(
-    n: int, arcs: list[Arc]
-) -> tuple[list[Arc] | None, frozenset[int], frozenset[int]]:
-    """Arcs of a factor picked from ``arcs``: every vertex balanced and on
-    at least one of them."""
-    return degree_bounded_subgraph(n, arcs, [1] * n, [max(1, n)] * n)
-
-
 def eulerian_factor(
     d: Digraph, avoid: ArcSet | set[Arc] = frozenset()
 ) -> EulerianFactor | ObstructionPartition:
@@ -174,19 +166,22 @@ def eulerian_factor(
 
 
 def _factor(d: Digraph) -> EulerianFactor | ObstructionPartition:
-    picked, entry, exit_ = _factor_arcs(d.n, list(d.arcs()))
-    if picked is not None:
-        comps = _weak_masks(d.n, picked)
-        return EulerianFactor(frozenset(picked), tuple(frozenset(_mask_bits(c)) for c in comps))
-    return _refine_obstruction(d, entry, exit_)
+    """A factor of d, picked by ``_circulate`` with every vertex on at
+    least one arc, or the obstruction refined from its cut."""
+    n, out = d.n, d._out  # noqa: SLF001 - package-internal
+    picked, entry, exit_ = _circulate(out, [1] * n, [n] * n)
+    if picked is None:
+        return _refine_obstruction(d, entry, exit_)
+    arcs = frozenset(_row_arcs(picked))
+    comps = _weak_masks(n, arcs)
+    return EulerianFactor(arcs, tuple(frozenset(_mask_bits(c)) for c in comps))
 
 
-def _refine_obstruction(
-    d: Digraph, entry: frozenset[int], exit_: frozenset[int]
-) -> ObstructionPartition:
-    """Shrink the middle part of the blocking cut until its three
-    defining conditions hold; every move also removes at least one arc
-    from the deficiency count, so the strict inequality survives.
+def _refine_obstruction(d: Digraph, entry: int, exit_: int) -> ObstructionPartition:
+    """Shrink the middle part of the blocking cut, whose entry and exit
+    sides ``_circulate`` returns as masks, until its three defining
+    conditions hold; every move also removes at least one arc from the
+    deficiency count, so the strict inequality survives.
 
     A vertex leaves the middle part for r2 when an arc enters it from r2
     or the middle part, whose union these moves keep fixed, and then for
@@ -194,8 +189,8 @@ def _refine_obstruction(
     part cannot feed; so one ascending pass of each settles it.
     """
     ins, out = d._in, d._out  # noqa: SLF001 - package-internal
-    r2 = _mask_of(entry)
-    y_side = _mask_of(exit_) & ~r2
+    r2 = entry
+    y_side = exit_ & ~r2
     r1 = ((1 << d.n) - 1) & ~r2 & ~y_side
     feeds = r2 | y_side
     for y in _mask_bits(y_side):
@@ -448,12 +443,14 @@ def _factor_then_merge(
     merged = _merge(d, fac.arcs, frozenset())
     if merged is not None:
         return EulerianSubdigraph(merged)
+    n = d.n
     for seed in range(1, 7):
-        label = list(range(d.n))
+        label = list(range(n))
         random.Random(seed).shuffle(label)
-        picked, _, _ = _factor_arcs(d.n, [(label[u], label[v]) for u, v in d.arcs()])
-        back = {new: old for old, new in enumerate(label)}
-        merged = _merge(d, {(back[u], back[v]) for u, v in picked}, frozenset())
+        rows = _rows_of(((label[u], label[v]) for u, v in d.arcs()), n)
+        picked, _, _ = _circulate(rows, [1] * n, [n] * n)
+        arcs = {(u, v) for u, v in d.arcs() if picked[label[u]] >> label[v] & 1}
+        merged = _merge(d, arcs, frozenset())
         if merged is not None:
             if trace is not None:
                 trace.append("merge-retry")

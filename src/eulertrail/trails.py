@@ -18,7 +18,6 @@ from __future__ import annotations
 import heapq
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
 
 from .connectivity import (
     _certificate_from_mask,
@@ -27,13 +26,12 @@ from .connectivity import (
     _max_flow,
     _row_paths,
     arc_connectivity,
-    arc_disjoint_paths,
     is_strong,
 )
-from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
+from .digraph import Arc, Digraph, _mask_bits, _mask_of, _rows_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
 from .hamilton import _cached_cycle, _covering_cycle, _cycle, _path_between
-from ._flow import degree_bounded_subgraph
+from ._flow import _circulate
 
 @dataclass(frozen=True)
 class Trail:
@@ -130,14 +128,18 @@ def _degree_issues(
 # ---- arc-set utilities ----
 
 
-def _euler_walk(rows: list[int], start: int) -> list[int]:
-    """Hierholzer walk from start over the out-rows ``rows`` (bit v of
-    ``rows[u]`` is the arc (u,v)), smallest head first; it consumes the
-    rows.  It uses every arc only when the arcs form one trail."""
-    stack = [start]
+def _trail_walk(rows: list[int], m: int, x: int, y: int) -> list[int] | None:
+    """The (x,y)-trail using each of the m arcs of the out-rows ``rows``
+    once, or None.  A Hierholzer walk from x, smallest head first, that
+    consumes the rows.  Its first sub-walk must end at y.  Each later one
+    starts at a vertex u the stack left behind and is spliced in before
+    the arc u took there, so only a sub-walk closed at u keeps the walk on
+    arcs; an open one, which only an unbalanced set allows, is refused as
+    it ends, and the length then tells whether every arc was used."""
+    stack = [x]
     walk: list[int] = []
     while stack:
-        v = stack.pop()
+        v = start = stack.pop()
         row = rows[v]
         while row:  # walk on from v, stacking each vertex left behind
             stack.append(v)
@@ -145,34 +147,13 @@ def _euler_walk(rows: list[int], start: int) -> list[int]:
             rows[v] = row ^ low
             v = low.bit_length() - 1
             row = rows[v]
+        if v != (start if walk else y):
+            return None
         walk.append(v)
+    if len(walk) != m + 1:
+        return None
     walk.reverse()
     return walk
-
-
-def _trail_walk(rows: list[int], m: int, x: int, y: int) -> list[int] | None:
-    """The (x,y)-trail that uses each of the m arcs of ``rows`` once, or
-    None when they form no such trail.  Consumes the rows."""
-    walk = _euler_walk(rows.copy(), x)
-    if len(walk) != m + 1 or walk[-1] != y:
-        return None
-    # on an unbalanced arc set the walk can step between arcs it does not
-    # hold, so each step must clear an arc that is still there
-    for u, v in zip(walk, walk[1:]):
-        bit = 1 << v
-        if not rows[u] & bit:
-            return None
-        rows[u] ^= bit
-    return walk
-
-
-def _rows_of(arcs: Iterable[Arc], n: int) -> list[int]:
-    """Out-rows of arcs of a digraph on n vertices: bit v of ``rows[u]``
-    is the arc (u,v)."""
-    rows = [0] * n
-    for u, v in arcs:
-        rows[u] |= 1 << v
-    return rows
 
 
 def _arc_rows(arcs, *ends: int) -> tuple[list[int], int]:
@@ -380,7 +361,7 @@ def _absorb_head_side(
     aug = tail_sub.add_arcs([(w1l, yl)]) if artificial else tail_sub
     if not is_strong(aug):
         return None
-    if not isinstance(arc_disjoint_paths(aug, xl, yl, 2), list):
+    if _max_flow(aug, xl, yl, limit=2)[0] < 2:
         return None
     _note(trace, "sink-side-recursion")
     inner = _ladder_trail(aug, xl, yl, allow_mirror=True, two_strong=False, trace=trace)
@@ -413,19 +394,17 @@ def _completion_case(
     trace: list[str] | None,
 ) -> list[int] | None:
     """Cover the vertices missed by one path with cycles via circulation."""
-    t0 = set(_path_arcs(base_path))
-    covered = set(base_path)
-    out_t0: dict[int, int] = {}
-    for u, _ in t0:
-        out_t0[u] = out_t0.get(u, 0) + 1
-    lo = [0 if v in covered else 1 for v in range(d.n)]
-    hi = [(1 if v == y else 2) - out_t0.get(v, 0) for v in range(d.n)]
-    rest = [a for a in dprime.arcs() if a not in t0]
-    picked, _, _ = degree_bounded_subgraph(d.n, rest, lo, hi)
+    n = d.n
+    path = _rows_of(_path_arcs(base_path), n)
+    covered = _mask_of(base_path)
+    lo = [0 if covered >> v & 1 else 1 for v in range(n)]
+    hi = [(1 if v == y else 2) - path[v].bit_count() for v in range(n)]
+    offered = [row & ~p for row, p in zip(dprime._out, path)]  # noqa: SLF001
+    picked, _, _ = _circulate(offered, lo, hi)
     if picked is None:
         return None
     _note(trace, "circulation-completion")
-    return _rows_of(t0.union(picked), d.n)
+    return [p | q for p, q in zip(path, picked)]
 
 
 def _accepted_trail(d: Digraph, rows: list[int], x: int, y: int) -> Trail | None:
@@ -592,7 +571,7 @@ def is_eulerian_connected(d: Digraph) -> tuple[bool, tuple[int, int] | None]:
         for y in range(d.n):
             if x == y:
                 continue
-            if isinstance(arc_disjoint_paths(d, x, y, 2), list):
+            if _max_flow(d, x, y, limit=2)[0] >= 2:
                 continue
             if oracle.find_trail_oracle(d, x, y) is None:
                 return False, (x, y)

@@ -271,14 +271,17 @@ def test_trail_probes_its_pair_once_and_forward_arc_witness_not_at_all(
     assert et.arc_connectivity(d) == 1
     assert et.nice_decomposition(d).arc_tag((4, 0)) == "forward"
     probes = []
-    real = et.arc_disjoint_paths
 
-    def counted(host, x, y, k):
-        probes.append((host._out, x, y))
-        return real(host, x, y, k)
+    def counting(real):
+        def counted(host, x, y, *args, **kwargs):
+            probes.append((host._out, x, y))
+            return real(host, x, y, *args, **kwargs)
 
-    for module in (cli, trails):
-        monkeypatch.setattr(module, "arc_disjoint_paths", counted)
+        return counted
+
+    # the CLI probes with the paths, the ladder with the flow value alone
+    monkeypatch.setattr(cli, "arc_disjoint_paths", counting(cli.arc_disjoint_paths))
+    monkeypatch.setattr(trails, "_max_flow", counting(trails._max_flow))
     path = _digraph_file(tmp_path, d)
     assert main(["trail", path, "--from", "0", "--to", "4", "--quiet"]) == 0
     assert probes.count((d._out, 0, 4)) == 1

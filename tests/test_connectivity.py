@@ -11,10 +11,10 @@ from eulertrail.connectivity import (
     _certificate_from_mask,
     _closure,
     _max_flow,
-    flow_paths,
+    _row_paths,
     shortest_walk,
 )
-from eulertrail.digraph import _mask_bits
+from eulertrail.digraph import _mask_bits, _row_arcs, _rows_of
 from instances import (
     backward_chain,
     complete,
@@ -353,15 +353,15 @@ def test_shortest_walk_unreachable_target_gives_none() -> None:
 
 def test_flow_paths_splices_out_a_revisit() -> None:
     # one unit of flow 0-1-2-1-3 carries the cycle 1-2-1 along
-    arcs = {(0, 1), (1, 2), (2, 1), (1, 3), (0, 3)}
-    assert flow_paths(arcs, 0, 3, 2) == [[0, 1, 3], [0, 3]]
+    rows = _rows_of({(0, 1), (1, 2), (2, 1), (1, 3), (0, 3)}, 4)
+    assert _row_paths(rows, 0, 3, 2) == [[0, 1, 3], [0, 3]]
 
 
 def test_flow_paths_raises_when_a_walk_misses_y() -> None:
     with pytest.raises(et.ConstructionError):
-        flow_paths({(0, 1), (1, 2)}, 0, 3, 1)
+        _row_paths(_rows_of({(0, 1), (1, 2)}, 4), 0, 3, 1)
     with pytest.raises(et.ConstructionError):
-        flow_paths({(0, 1), (1, 3)}, 0, 3, 2)  # only one unit of flow
+        _row_paths(_rows_of({(0, 1), (1, 3)}, 4), 0, 3, 2)  # only one unit of flow
 
 
 # ---- the flow kernel against the dict-keyed kernel it replaced ----
@@ -418,10 +418,6 @@ def _carrying(flow: dict) -> set:
     return {a for a, f in flow.items() if f == 1}
 
 
-def _row_arcs(fwd: list[int]) -> set:
-    return {(u, v) for u, row in enumerate(fwd) for v in _mask_bits(row)}
-
-
 def _reference_certificate(d: et.Digraph):
     if d.n <= 1:
         return 0, None
@@ -474,7 +470,7 @@ def test_flow_kernel_matches_the_dict_keyed_kernel() -> None:
         ref_value, ref_flow, ref_reached = _reference_flow(d, x, y, 2)
         expected = (
             _certificate_from_mask(d, ref_reached) if ref_value < 2
-            else flow_paths(_carrying(ref_flow), x, y, 2)
+            else _row_paths(_rows_of(_carrying(ref_flow), d.n), x, y, 2)
         )
         assert et.arc_disjoint_paths(d, x, y, 2) == expected
 

@@ -9,10 +9,10 @@ from hypothesis import strategies as st
 import eulertrail as et
 from eulertrail import factor
 from eulertrail.connectivity import shortest_walk
-from eulertrail.digraph import _mask_of
+from eulertrail._flow import _circulate
+from eulertrail.digraph import _mask_bits, _mask_of, _row_arcs, _rows_of
 from eulertrail.factor import (
     _cross_cycle,
-    _factor_arcs,
     _merge,
     _next_move,
     _refine_obstruction,
@@ -86,7 +86,7 @@ def test_obstruction_partition_check_is_strict() -> None:
 )
 def test_eulerian_factor_checks_its_factor(monkeypatch, pick, avoid, defect) -> None:
     d = complete(4).remove_arcs({(3, 2)})
-    monkeypatch.setattr(factor, "_factor_arcs", lambda n, arcs: (pick, frozenset(), frozenset()))
+    monkeypatch.setattr(factor, "_circulate", lambda offered, lo, hi: (_rows_of(pick, 4), 0, 0))
     with pytest.raises(et.ConstructionError, match=defect):
         et.eulerian_factor(d, avoid)
 
@@ -251,6 +251,13 @@ def _reference_cross_cycle(d, avoid, current, comp_of):
     return None
 
 
+def _factor_picks(n, arcs):
+    """``_circulate`` as ``_factor`` calls it, on the arcs of a digraph on
+    n vertices: the picked arcs, sorted, or None, and the two cut masks."""
+    picked, entry, exit_ = _circulate(_rows_of(arcs, n), [1] * n, [n] * n)
+    return (None if picked is None else sorted(_row_arcs(picked))), entry, exit_
+
+
 def _merge_states(d, avoid, arcs, protected=frozenset()):
     """(current arcs, component masks, component index of each vertex,
     next move) before every move that merge_all makes from the given
@@ -299,7 +306,7 @@ def test_cross_cycle_matches_the_shortest_walk_search() -> None:
         allowed = [a for a in d.arcs() if a not in avoid]
         label = list(range(d.n))
         for _ in range(3):  # the factor on the input labels, then two relabellings
-            picked, _, _ = _factor_arcs(d.n, [(label[u], label[v]) for u, v in allowed])
+            picked, _, _ = _factor_picks(d.n, [(label[u], label[v]) for u, v in allowed])
             if picked is None:
                 break
             back = {new: old for old, new in enumerate(label)}
@@ -330,7 +337,7 @@ def test_every_merge_move_joins_exactly_the_components_it_touches() -> None:
               for n, factor, extra in (swap_only, reroute_only, single_visit)]
     for d, avoid, _ in _merge_inputs():
         allowed = [a for a in d.arcs() if a not in avoid]
-        picked, _, _ = _factor_arcs(d.n, allowed)
+        picked, _, _ = _factor_picks(d.n, allowed)
         if picked is not None:
             states.append((d, avoid, picked))
     for d, avoid, picked in states:
@@ -368,7 +375,7 @@ def test_merge_matches_the_recomputing_merge() -> None:
     merged = stuck = 0
     for d, avoid, _ in _merge_inputs():
         rest = d.remove_arcs(avoid)
-        picked, _, _ = _factor_arcs(d.n, list(rest.arcs()))
+        picked, _, _ = _factor_picks(d.n, rest.arcs())
         if picked is None:
             continue
         # protecting every arc leaves only the cycle moves, which get stuck
@@ -460,14 +467,15 @@ def test_obstruction_refinement_matches_the_set_based_refinement() -> None:
     seen = moved = 0
     for d, avoid in cases:
         rest = d.remove_arcs(avoid)
-        picked, entry, exit_ = _factor_arcs(d.n, list(rest.arcs()))
+        picked, entry, exit_ = _factor_picks(d.n, rest.arcs())
         if picked is not None:
             continue
-        expect = _reference_refine_obstruction(d, avoid, entry, exit_)
+        sides = frozenset(_mask_bits(entry)), frozenset(_mask_bits(exit_))
+        expect = _reference_refine_obstruction(d, avoid, *sides)
         assert _refine_obstruction(rest, entry, exit_) == expect
         assert et.eulerian_factor(d, avoid) == expect
         seen += 1
-        moved += expect.y != exit_ - entry
+        moved += expect.y != sides[1] - sides[0]
     # many inputs have no factor, and on some the refinement moves vertices
     assert seen > 600 and moved > 80, (seen, moved)
     # no cut of a failed factor search gave the middle part an inner arc
@@ -479,11 +487,12 @@ def test_obstruction_refinement_matches_the_set_based_refinement() -> None:
         exit_ = frozenset(v for v in range(d.n) if rng.random() < 0.6)
         expect = _reference_refine_obstruction(d, avoid, entry, exit_)
         rest = d.remove_arcs(avoid)
+        masks = _mask_of(entry), _mask_of(exit_)
         if expect.check(d, avoid):
             with pytest.raises(et.ConstructionError):
-                _refine_obstruction(rest, entry, exit_)
+                _refine_obstruction(rest, *masks)
             continue
-        assert _refine_obstruction(rest, entry, exit_) == expect
+        assert _refine_obstruction(rest, *masks) == expect
         y = exit_ - entry
         inner += any(rest.has_arc(u, v) for u in y for v in y)
         into_r1 += expect.r1 != set(range(d.n)) - entry - exit_

@@ -2,8 +2,8 @@ import random
 
 import pytest
 
-from eulertrail._flow import _circulate, degree_bounded_subgraph
-from eulertrail.digraph import _mask_of
+from eulertrail._flow import _circulate
+from eulertrail.digraph import _mask_of, _row_arcs, _rows_of
 from eulertrail.errors import PreconditionError
 
 
@@ -22,49 +22,46 @@ K4 = [(u, v) for u in range(4) for v in range(4) if u != v]
 
 def test_feasible_pick_meets_bounds_and_balance() -> None:
     lo, hi = [1, 1, 1, 1], [1, 2, 1, 1]
-    picked, entry, exit_ = degree_bounded_subgraph(4, K4, lo, hi)
-    assert picked is not None and entry == exit_ == frozenset()
-    assert len(set(picked)) == len(picked) and set(picked) <= set(K4)
-    through, balance = through_and_balance(4, picked)
+    offered = _rows_of(K4, 4)
+    picked, entry, exit_ = _circulate(offered, lo, hi)
+    assert picked is not None and entry == exit_ == 0
+    assert offered == _rows_of(K4, 4)  # the offer is left as it was
+    assert all(p & ~o == 0 for p, o in zip(picked, offered))
+    through, balance = through_and_balance(4, _row_arcs(picked))
     assert all(a <= t <= b for a, t, b in zip(lo, through, hi))
     assert balance == [0, 0, 0, 0]
-
-
-def test_picked_arcs_keep_the_input_order() -> None:
-    arcs = [(2, 0), (1, 2), (0, 1)]
-    picked, _, _ = degree_bounded_subgraph(3, arcs, [1, 1, 1], [1, 1, 1])
-    assert picked == arcs
 
 
 def test_surplus_sets_out_minus_in() -> None:
     # a path 0 -> ... -> 3 through both middle vertices
     surplus = [1, 0, 0, -1]
     lo, hi = [0, 1, 1, 0], [0, 1, 1, 0]
-    picked, _, _ = degree_bounded_subgraph(4, K4, lo, hi, surplus)
+    picked, _, _ = _circulate(_rows_of(K4, 4), lo, hi, surplus)
     assert picked is not None
-    through, balance = through_and_balance(4, picked)
+    arcs = _row_arcs(picked)
+    through, balance = through_and_balance(4, arcs)
     assert balance == surplus
     assert through == [0, 1, 1, 0]
-    assert len(picked) == 3
+    assert len(arcs) == 3
 
 
 def test_infeasible_pick_reports_the_cut_sides() -> None:
     # vertex 2 has no out-arc, so it cannot carry traffic
     arcs = [(0, 1), (1, 0), (1, 2)]
-    picked, entry, exit_ = degree_bounded_subgraph(3, arcs, [1, 1, 1], [2, 2, 2])
+    picked, entry, exit_ = _circulate(_rows_of(arcs, 3), [1, 1, 1], [2, 2, 2])
     assert picked is None
     # the traffic vertex 2 must carry is stranded on its exit side
-    assert entry == frozenset() and exit_ == frozenset({2})
+    assert entry == 0 and exit_ == 1 << 2
 
 
 def test_lower_bound_above_upper_bound_is_infeasible() -> None:
-    picked, _, _ = degree_bounded_subgraph(4, K4, [1, 2, 1, 1], [1, 1, 1, 1])
+    picked, _, _ = _circulate(_rows_of(K4, 4), [1, 2, 1, 1], [1, 1, 1, 1])
     assert picked is None
 
 
 def test_unbalanced_surplus_is_refused() -> None:
     with pytest.raises(PreconditionError):
-        degree_bounded_subgraph(4, K4, [0] * 4, [3] * 4, [1, 0, 0, 0])
+        _circulate(_rows_of(K4, 4), [0] * 4, [3] * 4, [1, 0, 0, 0])
 
 
 # ---- reference: Edmonds-Karp and a lower-bound reduction on an edge list ----
@@ -145,7 +142,7 @@ def _reference_circulation(n: int, edges):
 
 
 def _reference_subgraph(n: int, arcs, lo, hi, surplus=None):
-    """``degree_bounded_subgraph`` on the split-node edge list: entry side
+    """``_circulate`` on the split-node edge list of sorted arcs: entry side
     v, exit side n + v, and a source, a sink and a return edge for the
     surplus."""
     edges = [(n + u, v, 0, 1) for u, v in arcs]
@@ -196,27 +193,12 @@ def test_picks_and_cut_sides_match_the_edmonds_karp_reference() -> None:
     for _ in range(3000):
         n, arcs, lo, hi, surplus = _random_case(rng)
         want = _reference_subgraph(n, arcs, lo, hi, surplus)
-        assert degree_bounded_subgraph(n, arcs, lo, hi, surplus) == want
-        # the row kernel under the adapter: the same picks and cut sides
-        free = [_mask_of(v for a, v in arcs if a == u) for u in range(n)]
-        taken, entry, exit_ = _circulate(free, lo, hi, surplus)
+        picked, entry, exit_ = _circulate(_rows_of(arcs, n), lo, hi, surplus)
         if want[0] is None:
-            assert (taken, entry, exit_) == (None, _mask_of(want[1]), _mask_of(want[2]))
-        else:
-            assert (entry, exit_) == (0, 0)
-            assert {(u, v) for v in range(n) for u in range(n) if taken[v] >> u & 1} == set(
-                want[0]
-            )
-        shuffled = arcs[:]
-        rng.shuffle(shuffled)
-        picked, entry, exit_ = degree_bounded_subgraph(n, shuffled, lo, hi, surplus)
-        if want[0] is None:
-            assert (picked, entry, exit_) == want
+            assert (picked, entry, exit_) == (None, _mask_of(want[1]), _mask_of(want[2]))
             infeasible += 1
         else:
-            # a shuffled input only reorders the output
-            assert picked == [a for a in shuffled if a in set(want[0])]
-            assert entry == exit_ == frozenset()
+            assert (picked, entry, exit_) == (_rows_of(want[0], n), 0, 0)
             feasible += 1
     # both outcomes occur often
     assert feasible > 500 and infeasible > 500

@@ -7,11 +7,12 @@ from hypothesis import strategies as st
 
 import eulertrail as et
 from eulertrail import trails
-from eulertrail.connectivity import flow_paths
+from eulertrail.connectivity import _row_paths
+from eulertrail.digraph import _rows_of
 from eulertrail.trails import (
     _accepted_trail,
-    _euler_walk,
     _minimal_pair,
+    _trail_walk,
     arcs_to_trail,
     closed_tour,
 )
@@ -191,17 +192,9 @@ def test_ladder_rejects_a_candidate_leaving_a_vertex_three_times() -> None:
     assert _accepted(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
 
 
-def _rows(arcs, n: int) -> list[int]:
-    """Out-rows of an arc set on n vertices: bit v of ``rows[u]`` is (u,v)."""
-    rows = [0] * n
-    for u, v in arcs:
-        rows[u] |= 1 << v
-    return rows
-
-
 def _accepted(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
     """``_accepted_trail`` on the out-rows of an arc set of d."""
-    return _accepted_trail(d, _rows(arcs, d.n), x, y)
+    return _accepted_trail(d, _rows_of(arcs, d.n), x, y)
 
 
 def _set_based_trail(arcs, x: int, y: int) -> et.Trail | None:
@@ -252,7 +245,7 @@ def test_accepted_trail_refuses_rows_that_name_no_arc_of_d() -> None:
     """Mutants that only out-rows can express: a bit at position n, a bit
     for an arc that d lacks, and the bit for yx beside a kept trail."""
     d = complete(4)
-    kept = _rows({(0, 2), (2, 0), (0, 3), (3, 1)}, 4)  # 0-2-0-3-1
+    kept = _rows_of({(0, 2), (2, 0), (0, 3), (3, 1)}, 4)  # 0-2-0-3-1
     assert _accepted_trail(d, list(kept), 0, 1) == et.Trail((0, 2, 0, 3, 1))
     beyond = list(kept)
     beyond[3] |= 1 << 4  # the arc (3,4) of no vertex 4
@@ -412,7 +405,7 @@ def _reference_pair(d: et.Digraph, x: int, y: int) -> tuple[list[int], list[int]
             w, arc = pred[v]
             flow.symmetric_difference_update({arc})
             v = w
-    p1, p2 = flow_paths(flow, x, y, 2)
+    p1, p2 = _row_paths(_rows_of(flow, d.n), x, y, 2)
     if (len(p2), p2) < (len(p1), p1):
         p1, p2 = p2, p1
     return p1, p2
@@ -469,11 +462,11 @@ def test_minimal_pair_caps_the_potentials_at_y_level() -> None:
     assert _minimal_pair(d, 2, 1) == _reference_pair(d, 2, 1) == ([2, 1], [2, 4, 5, 1])
 
 
-# ---- the Hierholzer walk against the dict-keyed walk it replaced ----
+# ---- the Hierholzer walk against the walks it replaced ----
 
 
 def _reference_walk(arcs, start: int) -> list[int]:
-    """``_euler_walk`` as it was, with a sorted head list per tail."""
+    """The Hierholzer walk as it was, with a sorted head list per tail."""
     succ: dict[int, list[int]] = {}
     for u, v in arcs:
         succ.setdefault(u, []).append(v)
@@ -505,17 +498,93 @@ def _random_arc_set(rng: random.Random, n: int, balanced: bool) -> set:
 
 
 def test_euler_walk_matches_the_dict_keyed_walk() -> None:
+    """On arc-disjoint cycles, ``_trail_walk`` gives the dict-keyed walk's
+    closed tour from each start that reaches every arc, and None from a
+    start that does not."""
     balanced_tours = 0
     rng = random.Random(1736)
-    for i in range(800):
+    for _ in range(400):
         n = rng.randint(2, 14)
-        arcs = _random_arc_set(rng, n, balanced=i % 2 == 1)
+        arcs = _random_arc_set(rng, n, balanced=True)
         for start in rng.sample(range(n), min(3, n)):
-            walk = _euler_walk(_rows(arcs, n), start)
-            assert walk == _reference_walk(arcs, start)
-            if i % 2 and len(walk) == len(arcs) + 1:
-                balanced_tours += 1
+            want = _reference_walk(arcs, start)
+            if len(want) != len(arcs) + 1:
+                want = None
+            assert _trail_walk(_rows_of(arcs, n), len(arcs), start, start) == want
+            balanced_tours += want is not None
     assert balanced_tours > 300
+
+
+def _copy_and_step_walk(rows: list[int], m: int, x: int, y: int) -> list[int] | None:
+    """``_trail_walk`` as it was: a Hierholzer walk over a copy of the
+    rows, then a second pass that steps the walk over the rows and
+    refuses a step whose arc is not there."""
+    left = rows.copy()
+    stack = [x]
+    walk: list[int] = []
+    while stack:
+        v = stack.pop()
+        row = left[v]
+        while row:
+            stack.append(v)
+            low = row & -row
+            left[v] = row ^ low
+            v = low.bit_length() - 1
+            row = left[v]
+        walk.append(v)
+    walk.reverse()
+    if len(walk) != m + 1 or walk[-1] != y:
+        return None
+    for u, v in zip(walk, walk[1:]):
+        bit = 1 << v
+        if not rows[u] & bit:
+            return None
+        rows[u] ^= bit
+    return walk
+
+
+def _random_trail(rng: random.Random, n: int, x: int) -> tuple[set, int]:
+    """The arcs of a random trail from x in the complete digraph on n
+    vertices, and its end."""
+    arcs: set = set()
+    v = x
+    for _ in range(rng.randint(1, n * (n - 1))):
+        heads = [w for w in range(n) if w != v and (v, w) not in arcs]
+        if not heads:
+            break
+        w = rng.choice(heads)
+        arcs.add((v, w))
+        v = w
+    return arcs, v
+
+
+def test_trail_walk_matches_the_copy_and_step_walk() -> None:
+    """One walk that refuses an open sub-walk as it ends answers as the
+    walk over a copy followed by a step pass did, on balanced arc sets,
+    on trails with one arc added or removed, and on random arc sets."""
+    rng = random.Random(2024)
+    accepted = refused = 0
+    for i in range(3000):
+        n = rng.randint(2, 9)
+        x = rng.randrange(n)
+        kind = i % 4
+        if kind == 0:  # unbalanced, at random density
+            p = rng.random()
+            arcs = {(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p}
+            y = rng.randrange(n)
+        elif kind == 1:  # balanced
+            arcs, y = _random_arc_set(rng, n, balanced=True), x
+        else:  # a trail, as it is or with one arc added or removed
+            arcs, y = _random_trail(rng, n, x)
+            if kind == 3:
+                u, v = rng.sample(range(n), 2)
+                arcs ^= {(u, v)}
+        rows = _rows_of(arcs, n)
+        want = _copy_and_step_walk(rows.copy(), len(arcs), x, y)
+        assert _trail_walk(rows, len(arcs), x, y) == want, (n, sorted(arcs), x, y)
+        accepted += want is not None
+        refused += want is None
+    assert accepted > 800 and refused > 800, (accepted, refused)
 
 
 def test_arc_set_adapters_match_the_set_based_walk() -> None:
