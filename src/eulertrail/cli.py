@@ -247,7 +247,7 @@ def cmd_trail(args: argparse.Namespace) -> int:
         _say(args, f"no two arc-disjoint paths {x}->{y}: cut of size {len(probe.crossing_arcs)}")
         _emit({"trail": None, "cut": _cut_json(probe)})
         return EXIT_OBSTRUCTION
-    trail = _spanning_trail(d, x, y, linked=True)
+    trail = _spanning_trail(d, x, y, paths=probe)
     _say(args, f"spanning trail {x}->{y} with {len(trail.vertices) - 1} arcs")
     _emit({"trail": list(trail.vertices), "cut": None})
     return EXIT_CERTIFICATE

@@ -183,24 +183,28 @@ def _refine_obstruction(d: Digraph, entry: int, exit_: int) -> ObstructionPartit
     conditions hold; every move also removes at least one arc from the
     deficiency count, so the strict inequality survives.
 
-    A vertex leaves the middle part for r2 when an arc enters it from r2
-    or the middle part, whose union these moves keep fixed, and then for
-    r1 when an arc leaves it into r1, which the now independent middle
-    part cannot feed; so one ascending pass of each settles it.
+    r2 holds the vertices whose entry side the last search reached, the
+    middle part those whose exit side alone it reached, and r1 the rest.
+    ``_factor`` circulates with lo = 1, hi = n and no surplus.  A middle
+    vertex y carries no unit above lo on its own edge, or its reached
+    exit side would scan that unit backwards to its entry side; so y has
+    at most one picked out-arc.  If y's exit side is stocked, none is
+    picked; otherwise the search reached y's exit side backwards along
+    the picked arc, from an entry side in r2.  A reached exit side
+    reaches the head of each of its unpicked arcs, so an arc from y into
+    the middle part or r1, whose entry sides were not reached, would be
+    picked: there is none.  So the middle part is independent and sends
+    nothing into r1, a vertex moved to r2 sends nothing into the middle
+    part, and one pass over the arcs from r2 settles the partition.
     """
-    ins, out = d._in, d._out  # noqa: SLF001 - package-internal
+    ins = d._in  # noqa: SLF001 - package-internal
+    y_side = exit_ & ~entry
+    r1 = ((1 << d.n) - 1) & ~entry & ~y_side
     r2 = entry
-    y_side = exit_ & ~r2
-    r1 = ((1 << d.n) - 1) & ~r2 & ~y_side
-    feeds = r2 | y_side
     for y in _mask_bits(y_side):
-        if ins[y] & feeds:
+        if ins[y] & entry:
             y_side ^= 1 << y
             r2 |= 1 << y
-    for y in _mask_bits(y_side):
-        if out[y] & r1:
-            y_side ^= 1 << y
-            r1 |= 1 << y
     result = ObstructionPartition(*(frozenset(_mask_bits(m)) for m in (r1, r2, y_side)))
     bad = result.check(d)
     if bad:

@@ -2,20 +2,23 @@
 
 The central routine, ``spanning_trail``, turns two arc-disjoint (x,y)-paths
 into a spanning (x,y)-trail that avoids the arc yx and leaves every vertex
-at most twice (the terminal y at most once).  The construction runs a case
-ladder over how the digraph decomposes once the shorter path's arcs are
-removed.  Every rung hands its candidate over as bitmask out-rows (bit v
-of ``rows[u]`` is the arc (u,v)), and one pass over the rows checks them
-against the digraph and that promise before one Hierholzer walk orders
-them into the trail; a rejected candidate falls through to the next
-strategy, ending with a completion via circulation and finally a
-brute-force search on small inputs.  ``arcs_to_trail`` and
-``closed_tour`` run the same walk on the rows of an arc set.
+at most twice (the terminal y at most once).  Any two such paths serve,
+so the pair is read off the unit-capacity flow ``connectivity._max_flow``
+that also decides whether it exists; a caller that has run that flow
+hands its paths over (``paths``), so it runs once per pair.  The
+construction runs a case ladder over how the digraph decomposes once the
+shorter path's arcs are removed.  Every rung hands its candidate over as
+bitmask out-rows (bit v of ``rows[u]`` is the arc (u,v)), and one pass
+over the rows checks them against the digraph and that promise before
+one Hierholzer walk orders them into the trail; a rejected candidate
+falls through to the next strategy, ending with a completion via
+circulation and finally a brute-force search on small inputs.
+``arcs_to_trail`` and ``closed_tour`` run the same walk on the rows of
+an arc set.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -198,53 +201,6 @@ def _cycle_rows(cycle: list[int] | tuple[int, ...], n: int) -> list[int]:
     return rows
 
 
-# ---- minimal path pair ----
-
-
-def _minimal_pair(d: Digraph, x: int, y: int) -> tuple[list[int], list[int]]:
-    """Two arc-disjoint (x,y)-paths of minimum total length, shorter first,
-    by Suurballe's method on bitmask rows (Suurballe & Tarjan, Networks 14,
-    1984): a breadth-first search finds a shortest path, and its levels,
-    capped at y's, make every residual cost non-negative for one Dijkstra
-    search of the residual rows.  Ties break on vertex ids."""
-    out, n = d._out, d.n  # noqa: SLF001 - package-internal
-    level, parent, reached, queue = [n] * n, [-1] * n, 1 << x, [x]
-    level[x] = 0
-    for u in queue:  # the queue grows while it is read
-        if reached >> y & 1:
-            break
-        for w in _mask_bits(out[u] & ~reached):
-            level[w], parent[w] = level[u] + 1, u
-            reached |= 1 << w
-            queue.append(w)
-    h = [min(lv, level[y]) for lv in level]  # unlabelled: at y's level or beyond
-    fwd, back = [0] * n, [0] * n  # (u,v) carries flow: bit v of fwd[u], bit u of back[v]
-    for search in range(2):
-        if search:  # Dijkstra: a stale heap entry relaxes nothing, no path costs n
-            dist, parent, done, heap = [n] * n, [-1] * n, 0, [(0, x)]
-            while heap and not done >> y & 1:
-                du, u = heapq.heappop(heap)
-                done |= 1 << u
-                for row, cost in ((out[u] & ~fwd[u], h[u] + 1), (back[u], h[u] - 1)):
-                    for w in _mask_bits(row & ~done):
-                        if du + cost - h[w] < dist[w]:
-                            dist[w], parent[w] = du + cost - h[w], u
-                            heapq.heappush(heap, (dist[w], w))
-        if parent[y] < 0:
-            raise ConstructionError("second disjoint path vanished during search")
-        v = y
-        while v != x:
-            u = parent[v]
-            a, b = (v, u) if back[u] >> v & 1 else (u, v)  # cancel (v,u) or fill (u,v)
-            fwd[a] ^= 1 << b
-            back[b] ^= 1 << a
-            v = u
-    p1, p2 = _row_paths(fwd, x, y, 2)
-    if (len(p2), p2) < (len(p1), p1):
-        p1, p2 = p2, p1
-    return p1, p2
-
-
 # ---- the case ladder ----
 
 
@@ -361,10 +317,14 @@ def _absorb_head_side(
     aug = tail_sub.add_arcs([(w1l, yl)]) if artificial else tail_sub
     if not is_strong(aug):
         return None
-    if _max_flow(aug, xl, yl, limit=2)[0] < 2:
+    value, fwd, _ = _max_flow(aug, xl, yl, limit=2)
+    if value < 2:
         return None
     _note(trace, "sink-side-recursion")
-    inner = _ladder_trail(aug, xl, yl, allow_mirror=True, two_strong=False, trace=trace)
+    inner = _ladder_trail(
+        aug, xl, yl, allow_mirror=True, two_strong=False, trace=trace,
+        paths=_row_paths(fwd, xl, yl, 2),
+    )
     if inner is None:
         return None
     w_arcs = {(tail_ids[a], tail_ids[b]) for a, b in inner.arcs()}
@@ -439,6 +399,7 @@ def _ladder_trail(
     allow_mirror: bool,
     two_strong: bool,
     trace: list[str] | None,
+    paths: list[list[int]] | None = None,
 ) -> Trail | None:
     """Candidate generation ladder; the first accepted candidate wins.
 
@@ -447,6 +408,9 @@ def _ladder_trail(
     sink side plus at most one arc, once that is found strong.
     ``two_strong`` says that d is known to be 2-arc-strong, so that no
     strongness test after removing one arc, or one 2-cycle, is needed.
+    ``paths`` are two arc-disjoint (x,y)-paths of d read off its cold
+    ``_max_flow`` by a caller that ran it; without them the ladder runs
+    that flow itself, and only when xy is absent and d minus yx strong.
     Every rung hands its candidate over as out-rows.
     """
 
@@ -475,7 +439,9 @@ def _ladder_trail(
             if got is not None:
                 return got
         else:
-            p1, p2 = _minimal_pair(d, x, y)
+            if paths is None:
+                paths = _row_paths(_max_flow(d, x, y, limit=2)[1], x, y, 2)
+            p1, p2 = sorted(paths, key=len)
             for path in (p1, p2):
                 got = attempt(
                     lambda p=path: _split_case(d, dprime, x, y, p, allow_mirror, trace)
@@ -531,21 +497,31 @@ def spanning_trail(
 
 
 def _spanning_trail(
-    d: Digraph, x: int, y: int, trace: list[str] | None = None, linked: bool = False
+    d: Digraph,
+    x: int,
+    y: int,
+    trace: list[str] | None = None,
+    paths: list[list[int]] | None = None,
 ) -> Trail:
     """``spanning_trail`` for a d already known to be strong and
-    semicomplete and two distinct vertices of it.  The two paths are
-    still checked unless the caller found them and says so by ``linked``;
-    a linked caller leaves d's arc-connectivity unasked."""
-    two_strong = not linked and arc_connectivity(d) >= 2
-    if not linked and not two_strong:
-        value, _, reached = _max_flow(d, x, y, limit=2)
+    semicomplete and two distinct vertices of it.  A caller that has run
+    the flow for d and (x,y) hands its two paths over as ``paths`` and
+    leaves d's arc-connectivity unasked; otherwise the paths are checked
+    here, by that flow when d is not 2-arc-strong, and the ladder reads
+    the pair off it, so each flow runs once."""
+    two_strong = paths is None and arc_connectivity(d) >= 2
+    if paths is None and not two_strong:
+        value, fwd, reached = _max_flow(d, x, y, limit=2)
         if value < 2:
             raise PreconditionError(
                 f"need two arc-disjoint ({x},{y})-paths; "
                 f"cut {sorted(_certificate_from_mask(d, reached).crossing_arcs)} separates them"
             )
-    trail = _ladder_trail(d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace)
+        if not d.has_arc(x, y):  # the ladder reads the pair only then
+            paths = _row_paths(fwd, x, y, 2)
+    trail = _ladder_trail(
+        d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace, paths=paths
+    )
     if trail is None:
         raise ConstructionError(f"no spanning trail construction succeeded for ({x}, {y})")
     return trail
@@ -557,7 +533,11 @@ def is_eulerian_connected(d: Digraph) -> tuple[bool, tuple[int, int] | None]:
     Returns (True, None) or (False, (x, y)) for the first failing pair.
     Two-arc-strong digraphs qualify outright; otherwise each pair is
     settled constructively when two arc-disjoint paths exist and by
-    exhaustive search when they do not (small inputs only).
+    exhaustive search when they do not.  Below arc-connectivity 2 some
+    pair has no two such paths, so past the oracle's guard (more than
+    ``ORACLE_MAX_VERTICES`` vertices, which a semicomplete digraph fills
+    with more than ``ORACLE_MAX_ARCS`` arcs) this raises the guard's
+    ``PreconditionError`` instead of answering.
     """
     if not is_semicomplete(d):
         raise PreconditionError("eulerian-connectedness requires a semicomplete digraph")

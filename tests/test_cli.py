@@ -288,6 +288,34 @@ def test_trail_probes_its_pair_once_and_forward_arc_witness_not_at_all(
     probes.clear()
     assert et.classify_containment(d, (4, 0)).in_some  # by the forced completion
     assert probes.count((d._out, 0, 4)) == 0
+    # at arc-connectivity 1 the library's own probe hands its paths to the
+    # ladder, which needs them here: 04 is absent and d minus 40 is strong
+    assert not d.has_arc(0, 4) and et.is_strong(d.remove_arcs([(4, 0)]))
+    et.spanning_trail(d, 0, 4)
+    assert probes.count((d._out, 0, 4)) == 1
+
+
+def test_trail_command_and_library_give_the_same_trail(tmp_path, capsys):
+    # the command hands the paths of its probe to the ladder, the library
+    # finds them by the same flow, at arc-connectivity 1 and above
+    rng = random.Random(2519)
+    compared = {1: 0, 2: 0}
+    for i in range(16):
+        n = rng.randint(4, 25)
+        if i % 2:
+            d = random_strong_semicomplete(n, rng.randrange(10**6))
+        else:
+            d = strong_backward_chain(n, rng)
+        path = _digraph_file(tmp_path, d)
+        for _ in range(8):
+            x, y = rng.sample(range(n), 2)
+            if isinstance(et.arc_disjoint_paths(d, x, y, 2), et.CutCertificate):
+                continue
+            assert main(["trail", path, "--from", str(x), "--to", str(y), "--quiet"]) == 0
+            printed = json.loads(capsys.readouterr().out)["trail"]
+            assert printed == list(et.spanning_trail(d, x, y).vertices), (i, x, y)
+            compared[min(et.arc_connectivity(d), 2)] += 1
+    assert min(compared.values()) > 30, compared
 
 
 def test_trail_rejects_bad_endpoints(tmp_path, capsys):
