@@ -32,7 +32,7 @@ from itertools import permutations
 
 from .connectivity import (
     CutCertificate,
-    arc_connectivity,
+    _arc_strong,
     arc_connectivity_certificate,
     cut_arcs,
     is_strong,
@@ -184,7 +184,7 @@ def _containment(d: Digraph, arc: Arc) -> ArcContainment:
         label = _bad_label(d, dec, arc)
         if label is not None:
             return ArcContainment(arc, False, label, None)
-        if dec.arc_tag(arc) == "flat" or arc_connectivity(d) >= 2:
+        if dec.arc_tag(arc) == "flat" or _arc_strong(d, 2):
             witness_arcs = _trail_route_witness(d, arc)
         else:
             witness_arcs = _forced_flow_witness(d, dec, arc)
@@ -367,7 +367,7 @@ def classify_all(d: Digraph) -> list[tuple[ArcContainment, ArcUnavoidability]]:
     arcs = list(d.arcs())
     _require(d, arcs)
     contained = None
-    if d.n > 3 and arc_connectivity(d) >= 2:
+    if d.n > 3 and _arc_strong(d, 2):
         contained = _batch_containment(d, arcs)
     if contained is None:
         contained = [_containment(d, a) for a in arcs]

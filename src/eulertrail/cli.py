@@ -34,6 +34,7 @@ from .classify import (
 )
 from .connectivity import (
     CutCertificate,
+    _arc_strong,
     arc_connectivity,
     arc_disjoint_paths,
     cut_arcs,
@@ -302,13 +303,7 @@ def _gen_hard_instance(
         n = rng.randint(n_min, n_max)
         prob = rng.uniform(0.55, 1.0)
         d = gen_random_semicomplete(n, prob, rng.randrange(1 << 30))
-        degs = [
-            min(bin(d.out_mask(v)).count("1"), bin(d.in_mask(v)).count("1"))
-            for v in d.vertices()
-        ]
-        if min(degs) < k + 1:
-            continue
-        if arc_connectivity(d) < k + 1:
+        if not _arc_strong(d, k + 1):
             continue
         avoid = frozenset(rng.sample(list(d.arcs()), k))
         return d, avoid

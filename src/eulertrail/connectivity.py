@@ -21,6 +21,13 @@ min-cut side it reads from a maximum flow are the same as from a cold
 start, because the vertices reachable from s in the residual graph are
 the same for every maximum flow.
 
+Every connectivity condition of the paper is a threshold, so the package
+asks ``_arc_strong(d, k)``, a memoised test of λ >= k, and not for λ
+itself.  Like λ it needs only the pairs (0,v) and (v,0).  The direct arc
+s->t and the two-arc paths s->w->t are arc-disjoint, so when they already
+number k the pair needs no flow; otherwise its flow stops at k units.  On
+dense digraphs most pairs need no flow at all.
+
 The other modules share two walks from here: ``shortest_walk``, a
 breadth-first shortest-walk search, and ``_row_paths``, which reads
 paths off flow rows.
@@ -145,15 +152,16 @@ def strong_components(d: Digraph) -> list[frozenset[int]]:
 def cut_arcs(d: Digraph) -> frozenset[Arc]:
     """Arcs whose single removal breaks strongness.  Requires a strong input.
 
-    A 2-arc-strong digraph has none, which the cached arc-connectivity
-    tells at once.  Otherwise an arc (u,v) is a cut arc iff v is
+    A 2-arc-strong digraph has none, which the memoised threshold test
+    ``_arc_strong(d, 2)`` tells at once; only ``analyze`` and the public
+    API compute λ itself.  Otherwise an arc (u,v) is a cut arc iff v is
     unreachable from u once the arc itself is dropped: any other broken
     pair could reroute through a surviving u-to-v path.  A two-arc detour
     u->w->v, read off ``out[u] & in[v]``, settles that without a search.
     """
     if not is_strong(d):
         raise PreconditionError("cut_arcs requires a strong digraph")
-    if arc_connectivity(d) >= 2:
+    if _arc_strong(d, 2):
         return frozenset()
     out, into = d._out, d._in  # noqa: SLF001
     result: set[Arc] = set()
@@ -312,12 +320,38 @@ def _max_flow(
 
 
 def _certificate_from_mask(d: Digraph, reached: int) -> CutCertificate:
-    side_s = frozenset(_mask_bits(reached))
-    side_t = frozenset(v for v in range(d.n) if not reached >> v & 1)
+    out = d._out  # noqa: SLF001 - package-internal
+    rest = ((1 << d.n) - 1) & ~reached
     crossing = frozenset(
-        (u, v) for u in side_s for v in d.out_neighbors(u) if v in side_t
+        (u, v) for u in _mask_bits(reached) for v in _mask_bits(out[u] & rest)
     )
+    side_s, side_t = frozenset(_mask_bits(reached)), frozenset(_mask_bits(rest))
     return CutCertificate(side_s, side_t, crossing)
+
+
+@lru_cache(maxsize=1024)
+def _arc_strong(d: Digraph, k: int) -> bool:
+    """Whether d is k-arc-strong (λ >= k), without computing λ.
+
+    True for k <= 0; False when n <= 1, by λ's convention.  From k = 2 on
+    each pair (0,v), (v,0) first counts the direct arc and the two-arc
+    paths s->w->t, which are arc-disjoint, and runs a flow limited to k
+    units only when they number fewer than k.
+    """
+    if k <= 0:
+        return True
+    if d.n <= 1:
+        return False
+    if k == 1:
+        return _strong(d, (1 << d.n) - 1)
+    out, into = d._out, d._in  # noqa: SLF001 - package-internal
+    for v in range(1, d.n):
+        for s, t in ((0, v), (v, 0)):
+            if (out[s] >> t & 1) + (out[s] & into[t]).bit_count() >= k:
+                continue
+            if _max_flow(d, s, t, limit=k, warm=True)[0] < k:
+                return False
+    return True
 
 
 @lru_cache(maxsize=1024)
@@ -325,6 +359,8 @@ def arc_connectivity(d: Digraph) -> int:
     """The largest k such that removing any k-1 arcs leaves d strong.
 
     0 for non-strong digraphs and, by documented convention, when n <= 1.
+    Only ``analyze`` and the public API compute λ; the package's own
+    threshold conditions ask ``_arc_strong`` instead.
     """
     value, _ = arc_connectivity_certificate(d)
     return value

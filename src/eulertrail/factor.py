@@ -26,8 +26,8 @@ from dataclasses import dataclass
 from ._flow import _circulate
 from .connectivity import (
     CutCertificate,
+    _arc_strong,
     _closure,
-    arc_connectivity,
     arc_connectivity_certificate,
     is_strong,
 )
@@ -217,7 +217,7 @@ def factor_exists_guarantee(d: Digraph, k: int) -> bool:
     k arcs (a counting bound, no search involved)."""
     if k < 0:
         raise PreconditionError("k must be non-negative")
-    return arc_connectivity(d) >= k + 1
+    return _arc_strong(d, k + 1)
 
 
 def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
@@ -514,7 +514,7 @@ def _avoiding(
     else:
         k = len(forbidden)
         bound = ((k + 1) ** 2 + 3) // 4 + 1
-        if k and arc_connectivity(d) >= bound:
+        if k and _arc_strong(d, bound):
             out = d._out  # noqa: SLF001 - package-internal
             drop = [
                 (u, v)

@@ -23,12 +23,12 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .connectivity import (
+    _arc_strong,
     _certificate_from_mask,
     _closure,
     _components,
     _max_flow,
     _row_paths,
-    arc_connectivity,
     is_strong,
 )
 from .digraph import Arc, Digraph, _mask_bits, _mask_of, _rows_of, is_semicomplete
@@ -491,7 +491,7 @@ def spanning_trail(
     if not (0 <= x < d.n and 0 <= y < d.n) or x == y:
         raise PreconditionError("x and y must be distinct vertices")
     # from two vertices on, strong means arc-connectivity at least 1
-    if arc_connectivity(d) < 1:
+    if not _arc_strong(d, 1):
         raise PreconditionError("spanning_trail requires a strong digraph")
     return _spanning_trail(d, x, y, trace)
 
@@ -509,7 +509,7 @@ def _spanning_trail(
     leaves d's arc-connectivity unasked; otherwise the paths are checked
     here, by that flow when d is not 2-arc-strong, and the ladder reads
     the pair off it, so each flow runs once."""
-    two_strong = paths is None and arc_connectivity(d) >= 2
+    two_strong = paths is None and _arc_strong(d, 2)
     if paths is None and not two_strong:
         value, fwd, reached = _max_flow(d, x, y, limit=2)
         if value < 2:
@@ -543,7 +543,7 @@ def is_eulerian_connected(d: Digraph) -> tuple[bool, tuple[int, int] | None]:
         raise PreconditionError("eulerian-connectedness requires a semicomplete digraph")
     if d.n <= 1:
         return True, None
-    if arc_connectivity(d) >= 2:
+    if _arc_strong(d, 2):
         return True, None
     from . import oracle
 

@@ -1,6 +1,9 @@
 import heapq
+import json
 import random
+import sys
 from collections import deque
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -8,13 +11,14 @@ from hypothesis import strategies as st
 
 import eulertrail as et
 from eulertrail.connectivity import (
-    _certificate_from_mask,
+    _arc_strong,
     _closure,
     _max_flow,
     _row_paths,
     shortest_walk,
 )
 from eulertrail.digraph import _mask_bits, _row_arcs, _rows_of
+from eulertrail.oracle import enumerate_all_semicomplete
 from instances import (
     backward_chain,
     complete,
@@ -24,6 +28,12 @@ from instances import (
     three_cycle,
     transitive,
 )
+
+ROOT = Path(__file__).resolve().parent.parent
+if str(ROOT) not in sys.path:
+    sys.path.insert(0, str(ROOT))
+
+from perfbench.run import Caches  # noqa: E402
 
 
 def test_is_strong() -> None:
@@ -418,6 +428,14 @@ def _carrying(flow: dict) -> set:
     return {a for a, f in flow.items() if f == 1}
 
 
+def _set_certificate(d: et.Digraph, reached: int) -> et.CutCertificate:
+    """The cut of a reached mask, built on vertex sets from ``out_neighbors``."""
+    side_s = frozenset(_mask_bits(reached))
+    side_t = frozenset(v for v in range(d.n) if not reached >> v & 1)
+    crossing = frozenset((u, v) for u in side_s for v in d.out_neighbors(u) if v in side_t)
+    return et.CutCertificate(side_s, side_t, crossing)
+
+
 def _reference_certificate(d: et.Digraph):
     if d.n <= 1:
         return 0, None
@@ -428,8 +446,8 @@ def _reference_certificate(d: et.Digraph):
             if best is None or val < best:
                 best, best_mask = val, reached
                 if best == 0:
-                    return 0, _certificate_from_mask(d, best_mask)
-    return best, _certificate_from_mask(d, best_mask)
+                    return 0, _set_certificate(d, best_mask)
+    return best, _set_certificate(d, best_mask)
 
 
 def _kernel_inputs():
@@ -469,7 +487,7 @@ def test_flow_kernel_matches_the_dict_keyed_kernel() -> None:
         x, y = rng.sample(range(d.n), 2)
         ref_value, ref_flow, ref_reached = _reference_flow(d, x, y, 2)
         expected = (
-            _certificate_from_mask(d, ref_reached) if ref_value < 2
+            _set_certificate(d, ref_reached) if ref_value < 2
             else _row_paths(_rows_of(_carrying(ref_flow), d.n), x, y, 2)
         )
         assert et.arc_disjoint_paths(d, x, y, 2) == expected
@@ -540,6 +558,8 @@ def test_connectivity_agrees_with_networkx() -> None:
         lam = nx.edge_connectivity(g)
         assert et.is_strong(d) == strong
         assert et.arc_connectivity(d) == lam
+        for k in range(lam + 3):
+            assert _arc_strong(d, k) == (lam >= k), (d.n, lam, k)
         assert set(et.strong_components(d)) == {
             frozenset(c) for c in nx.strongly_connected_components(g)
         }
@@ -634,3 +654,86 @@ def test_cut_check_matches_the_set_based_reference() -> None:
             key = got[0] if got else "valid"
             reports[key] = reports.get(key, 0) + 1
     assert len(reports) == 3 and min(reports.values()) > 500, reports
+
+
+# ---- the threshold test against the exact value ----
+
+
+def _threshold_inputs():
+    """Every semicomplete digraph on up to four vertices, then seeded
+    backward chains and dense digraphs up to 60 vertices."""
+    for n in range(5):
+        yield from enumerate_all_semicomplete(n)
+    rng = random.Random(2611)
+    for n in (5, 8, 12, 20, 30, 45, 60):
+        yield backward_chain(n, rng)
+        yield strong_backward_chain(n, rng)
+        for p in (0.2, 0.6, 0.95):
+            yield et.gen_random_semicomplete(n, p, rng.randrange(1 << 30))
+
+
+def test_arc_strong_agrees_with_the_exact_value() -> None:
+    seen = set()
+    for d in _threshold_inputs():
+        lam = et.arc_connectivity(d)
+        seen.add(min(lam, 3))
+        for k in range(-1, lam + 3):
+            assert _arc_strong(d, k) == (lam >= k), (d.n, sorted(d.arcs()), k)
+    assert seen == {0, 1, 2, 3}, seen
+    # λ's conventions: k <= 0 always holds, and n <= 1 is never 1-arc-strong
+    for n in (0, 1):
+        assert _arc_strong(et.Digraph(n), 0) and _arc_strong(et.Digraph(n), -2)
+        assert not _arc_strong(et.Digraph(n), 1) and not _arc_strong(et.Digraph(n), 2)
+    assert _arc_strong(transitive(4), 0) and not _arc_strong(transitive(4), 1)
+
+
+def test_no_production_path_computes_the_exact_arc_connectivity(tmp_path, monkeypatch) -> None:
+    """On a dense 2-arc-strong digraph no call below needs a cut
+    certificate, so any call of ``arc_connectivity_certificate`` is an
+    exact λ; only ``analyze`` and the public API may compute one."""
+    from eulertrail import classify, cli, connectivity, factor
+
+    d = et.gen_random_semicomplete(16, 0.85, 0)
+    lam = et.arc_connectivity(d)
+    assert lam >= 10
+    exact = []
+
+    def refused(host):
+        exact.append(host)
+        raise AssertionError("exact arc connectivity computed")
+
+    for module in (connectivity, classify, factor):
+        monkeypatch.setattr(module, "arc_connectivity_certificate", refused)
+    Caches().clear()
+
+    rows = et.classify_all(d)
+    assert all(c.in_some and not u.unavoidable for c, u in rows)
+    for x, y in ((0, 1), (5, 2), (15, 7)):
+        assert et.spanning_trail(d, x, y).vertices[0] == x
+    assert et.cut_arcs(d) == frozenset()
+    assert et.factor_exists_guarantee(d, lam - 1)
+    assert not et.factor_exists_guarantee(d, lam)
+    # without the one-way arcs (u,v) and (v,w), v is adjacent to neither u
+    # nor w, which stay adjacent; such a remainder is not multipartite, so
+    # the reduction bound is asked (the trace shows it)
+    one_way = [(u, v) for u, v in d.arcs() if not d.has_arc(v, u)]
+    u, v, w = next((u, v, w) for u, v in one_way for a, w in one_way if a == v and w != u)
+    four = [(u, v), (v, w), *[a for a in one_way if v not in a][:2]]
+    for forbidden in (one_way[:1], four):
+        assert et.is_strong(d.remove_arcs(forbidden))
+        trace: list[str] = []
+        got = et.spanning_eulerian_avoiding(d, forbidden, trace)
+        assert isinstance(got, et.EulerianSubdigraph), trace
+    assert "multipartite-direct" not in trace, trace
+    path = tmp_path / "d.json"
+    path.write_text(et.serialize_json(d), encoding="utf-8")
+    arcs = tmp_path / "arcs.json"
+    arcs.write_text(json.dumps([list(a) for a in four]), encoding="utf-8")
+    for argv in (
+        ["classify", str(path), "--all"],
+        ["trail", str(path), "--from", "3", "--to", "9"],
+        ["avoid", str(path), "--arcs", str(arcs)],
+    ):
+        Caches().clear()
+        assert cli.main([*argv, "--quiet"]) == 0, argv
+    assert exact == []
