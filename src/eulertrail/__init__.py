@@ -59,14 +59,7 @@ from .factor import (
     merge_all,
     spanning_eulerian_avoiding,
 )
-from .hamilton import (
-    SubDigraph,
-    cycle_covering_complement,
-    hamiltonian_cycle,
-    hamiltonian_path,
-    hamiltonian_path_between,
-    path_within,
-)
+from .hamilton import hamiltonian_cycle
 from .trails import (
     EulerianSubdigraph,
     Trail,
@@ -89,7 +82,6 @@ __all__ = [
     "ObstructionPartition",
     "ParseError",
     "PreconditionError",
-    "SubDigraph",
     "Trail",
     "arc_connectivity",
     "arc_connectivity_certificate",
@@ -98,7 +90,6 @@ __all__ = [
     "classify_containment",
     "classify_unavoidable",
     "cut_arcs",
-    "cycle_covering_complement",
     "eulerian_factor",
     "factor_exists_guarantee",
     "gen_blocked_arc_tournament",
@@ -106,8 +97,6 @@ __all__ = [
     "gen_exceptional",
     "gen_random_semicomplete",
     "hamiltonian_cycle",
-    "hamiltonian_path",
-    "hamiltonian_path_between",
     "ignored_sets",
     "is_eulerian_connected",
     "is_semicomplete",
@@ -119,7 +108,6 @@ __all__ = [
     "nice_decomposition",
     "one_decomposition",
     "parse_json",
-    "path_within",
     "serialize_json",
     "spanning_eulerian_avoiding",
     "spanning_trail",

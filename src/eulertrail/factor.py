@@ -377,10 +377,14 @@ def merge_all(
     Moves are tried in a fixed order (cross-component cycle, insertion
     through a foreign vertex, arc swap, revisit reroute); each move joins
     components, so the count strictly drops, and protected arcs are never
-    removed.  The factor arcs must be balanced at every vertex, else
-    PreconditionError.
+    removed.  The factor arcs must be arcs of d, none of them avoided,
+    and balanced at every vertex, else PreconditionError.
     """
     require_arcs(d, avoid, "avoided arc")
+    require_arcs(d, factor_arcs, "factor arc")
+    both = set(factor_arcs).intersection(avoid)
+    if both:
+        raise PreconditionError(f"factor arc {min(both)} is avoided")
     if Counter(u for u, _ in factor_arcs) != Counter(v for _, v in factor_arcs):
         raise PreconditionError("factor arcs are not balanced at every vertex")
     return _merge(d.remove_arcs(avoid), factor_arcs, protected)

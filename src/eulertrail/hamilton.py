@@ -7,8 +7,9 @@ Paths and cycles are returned as vertex sequences; a cycle's closing arc
 
 The constructions run on a vertex subset given as a bitmask over the
 parent digraph's rows, in the parent's vertex ids, and trust their
-caller to hold a semicomplete (where needed, strong) subset.  The public
-functions check that once; callers that already hold one call them.
+caller to hold a semicomplete (where needed, strong) subset.  Only
+``hamiltonian_cycle``, the one public function, checks that; the trail
+ladder, which already holds such a subset, calls the internals.
 
 The hamiltonian cycle of a vertex set is memoised by ``_cached_cycle``,
 an ``lru_cache`` keyed by (digraph, vertex mask), so the trail ladder
@@ -18,41 +19,11 @@ hand out fresh lists of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
-from .connectivity import _components, _strong, is_strong, shortest_walk
-from .digraph import Arc, Digraph, _mask_bits, _mask_of, is_semicomplete
+from .connectivity import _components, _strong, shortest_walk
+from .digraph import Digraph, _mask_bits, _mask_of, is_semicomplete
 from .errors import ConstructionError, PreconditionError
-
-
-@dataclass(frozen=True)
-class SubDigraph:
-    """A vertex set together with arcs on it (possibly with isolated vertices)."""
-
-    vertices: frozenset[int]
-    arcs: frozenset[Arc]
-
-    def __post_init__(self) -> None:
-        for u, v in self.arcs:
-            if u not in self.vertices or v not in self.vertices:
-                raise PreconditionError(f"arc ({u},{v}) leaves the vertex set")
-
-
-def _require_semicomplete(d: Digraph) -> None:
-    if not is_semicomplete(d):
-        raise PreconditionError("operation requires a semicomplete digraph")
-
-
-def hamiltonian_path(d: Digraph) -> list[int]:
-    """Hamiltonian path of a semicomplete digraph, from the smallest vertex
-    of its first strong component."""
-    _require_semicomplete(d)
-    if d.n == 0:
-        raise PreconditionError("hamiltonian_path requires at least one vertex")
-    full = (1 << d.n) - 1
-    first = _components(d, full)[0]
-    return _path_between(d, full, (first & -first).bit_length() - 1)
 
 
 def _shortest_cycle_seed(d: Digraph, within: int) -> list[int]:
@@ -130,7 +101,8 @@ def _cached_cycle(d: Digraph, within: int) -> tuple[int, ...] | None:
 
 def hamiltonian_cycle(d: Digraph) -> list[int]:
     """Hamiltonian cycle of a strong semicomplete digraph (n >= 2)."""
-    _require_semicomplete(d)
+    if not is_semicomplete(d):
+        raise PreconditionError("hamiltonian_cycle requires a semicomplete digraph")
     if d.n < 2:
         raise PreconditionError("hamiltonian_cycle requires n >= 2")
     cycle = _cached_cycle(d, (1 << d.n) - 1)
@@ -154,30 +126,6 @@ def _component_path(
         i = cyc.index(end)
         return cyc[i + 1 :] + cyc[: i + 1]
     return cyc
-
-
-def path_within(
-    d: Digraph,
-    vertices,
-    start: int | None = None,
-    end: int | None = None,
-) -> list[int]:
-    """Hamiltonian path of a strong induced subdigraph with a fixed start
-    or end vertex (at most one of the two)."""
-    if start is not None and end is not None:
-        raise PreconditionError("fix at most one endpoint")
-    vertices = set(vertices)
-    if not vertices or not all(0 <= v < d.n for v in vertices):
-        raise PreconditionError("path_within needs a non-empty set of vertices of d")
-    if not {start, end} - {None} <= vertices:
-        raise PreconditionError("a fixed endpoint must lie in the vertex set")
-    within = _mask_of(vertices)
-    for v in vertices:
-        if (d.out_mask(v) | d.in_mask(v) | 1 << v) & within != within:
-            raise PreconditionError("operation requires a semicomplete digraph")
-    if not _strong(d, within):
-        raise PreconditionError("path_within requires a strong induced subdigraph")
-    return _component_path(d, within, start, end)
 
 
 def _path_between(d: Digraph, within: int, x: int, y: int | None = None) -> list[int]:
@@ -211,25 +159,17 @@ def _path_between(d: Digraph, within: int, x: int, y: int | None = None) -> list
     return path
 
 
-def hamiltonian_path_between(d: Digraph, x: int, y: int | None = None) -> list[int]:
-    """Hamiltonian path from x, ending at y when given.
-
-    Preconditions (checked): d semicomplete; x an out-generator; when y is
-    given, d must be non-strong and y an in-generator.
-    """
-    _require_semicomplete(d)
-    if not (0 <= x < d.n):
-        raise PreconditionError("x must be a vertex")
-    if y is not None and not (0 <= y < d.n):
-        raise PreconditionError("y must be a vertex")
-    return _path_between(d, (1 << d.n) - 1, x, y)
-
-
 def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
-    """``cycle_covering_complement`` on trusted input: ``core`` is the mask
-    of the vertices outside V(f) plus z, h is d minus A(f) and strong, and
-    every two core vertices are adjacent.  Of d only the arcs inside the
-    core are read, so any digraph with those arcs serves as d."""
+    """A cycle of h that covers every vertex of ``core``, for an avoided
+    subdigraph f and a vertex z of it: ``core`` is the mask of the
+    vertices outside V(f) plus z, h is d minus A(f) and strong, and every
+    two core vertices are adjacent (the caller holds all three).
+
+    When the induced core is strong this is just a hamiltonian cycle of
+    the core; otherwise the core's generator ends are bridged by a
+    shortest patch path through h, which may pick up vertices of V(f).
+    Either way the cycle's arc set avoids A(f).  Of d only the arcs inside
+    the core are read, so any digraph with those arcs serves as d."""
     if core & (core - 1) == 0:
         # degenerate: a shortest cycle through z in h
         z = core.bit_length() - 1
@@ -249,33 +189,3 @@ def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
     rest = core & ~_mask_of(patch[1:-1])
     bridge = _path_between(d, rest, patch[-1], patch[0])
     return bridge[:-1] + patch[:-1]
-
-
-def cycle_covering_complement(d: Digraph, f: SubDigraph, z: int) -> list[int]:
-    """A cycle of d avoiding A(f) that covers every vertex outside V(f), plus z.
-
-    Requires d semicomplete, z in V(f), and d minus A(f) strong.  When the
-    induced core (V minus V(f), plus z) is strong this is just a hamiltonian
-    cycle of the core; otherwise the core's generator ends are bridged by a
-    shortest patch path through the rest of the digraph.  The patch may pick
-    up extra V(f) vertices; the cycle's arc set always avoids A(f).
-    """
-    if z not in f.vertices:
-        raise PreconditionError("z must belong to the avoided subdigraph's vertex set")
-    if not 0 <= z < d.n:
-        raise PreconditionError("z must be a vertex")
-    core = _mask_of(v for v in d.vertices() if v == z or v not in f.vertices)
-    # adjacency may only be missing at pairs with an endpoint in V(f) - z,
-    # since such vertices never enter the core or its bridging path
-    for u in _mask_bits(core):
-        apart = core & ~(d.out_mask(u) | d.in_mask(u) | 1 << u)
-        if apart:
-            v = (apart & -apart).bit_length() - 1
-            raise PreconditionError(
-                f"vertices {u} and {v} are non-adjacent outside the "
-                "avoided subdigraph"
-            )
-    h = d.remove_arcs(f.arcs)
-    if not is_strong(h):
-        raise PreconditionError("d minus the arcs of f must be strong")
-    return _covering_cycle(d, h, core)

@@ -13,8 +13,7 @@ over the rows checks them against the digraph and that promise before
 one Hierholzer walk orders them into the trail; a rejected candidate
 falls through to the next strategy, ending with a completion via
 circulation and finally a brute-force search on small inputs.
-``arcs_to_trail`` and ``closed_tour`` run the same walk on the rows of
-an arc set.
+``closed_tour`` runs the same walk on the rows of an arc set.
 """
 
 from __future__ import annotations
@@ -168,15 +167,6 @@ def _arc_rows(arcs, *ends: int) -> tuple[list[int], int]:
     if min(ends) < 0:
         raise ConstructionError("an arc or a terminal lies outside the vertices")
     return _rows_of(arcs, max(ends) + 1), len(arcs)
-
-
-def arcs_to_trail(arcs, x: int, y: int) -> Trail:
-    """Order an arc set into one open (x,y)-trail (Hierholzer); raises
-    ConstructionError when the arcs form no such trail."""
-    walk = _trail_walk(*_arc_rows(arcs, x, y), x, y)
-    if walk is None:
-        raise ConstructionError("arc set does not form a single (x,y)-trail")
-    return Trail(tuple(walk))
 
 
 def closed_tour(arcs, start: int) -> list[int]:

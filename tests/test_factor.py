@@ -235,6 +235,16 @@ def test_merge_all_refuses_avoided_arcs_outside_the_digraph() -> None:
             et.eulerian_factor(three_cycle(), avoid)
 
 
+def test_merge_all_vets_its_factor_arcs() -> None:
+    # an avoided factor arc would come back in the merged set
+    with pytest.raises(et.PreconditionError, match=r"factor arc \(0, 1\) is avoided"):
+        et.merge_all(complete(4), {(0, 1), (1, 0), (2, 3), (3, 2)}, avoid={(0, 1)})
+    # (0,2) and (1,0) are not arcs of the 3-cycle; 7 and -1 are no vertices
+    for arcs in ({(0, 2), (2, 0), (1, 0), (0, 1)}, {(0, 7), (7, 0)}, {(0, -1), (-1, 0)}):
+        with pytest.raises(et.PreconditionError, match="factor arc .* is not in the digraph"):
+            et.merge_all(three_cycle(), arcs)
+
+
 def _reference_cross_cycle(d, avoid, current, comp_of):
     """The cross-cycle search as it was before it moved onto bitmask rows:
     successor lists rebuilt from every arc, then the shared shortest-walk

@@ -7,14 +7,19 @@ from hypothesis import strategies as st
 import eulertrail as et
 from eulertrail.connectivity import _components, _strong
 from eulertrail.digraph import _mask_bits, _mask_of
-from eulertrail.hamilton import _cycle, _path_between, _shortest_cycle_seed
+from eulertrail.hamilton import (
+    _component_path,
+    _covering_cycle,
+    _cycle,
+    _path_between,
+    _shortest_cycle_seed,
+)
 from instances import (
     backward_chain,
     complete,
     figure_chain,
     random_strong_semicomplete,
     t4,
-    three_cycle,
     transitive,
 )
 
@@ -31,16 +36,13 @@ def check_cycle(d: et.Digraph, cycle: list[int]) -> None:
         assert d.has_arc(u, v)
 
 
+def _full(d: et.Digraph) -> int:
+    return (1 << d.n) - 1
+
+
 def test_hamiltonian_path_transitive_is_unique() -> None:
-    assert et.hamiltonian_path(transitive(5)) == [0, 1, 2, 3, 4]
-    assert et.hamiltonian_path(et.Digraph(1)) == [0]
-
-
-def test_hamiltonian_path_rejects_non_semicomplete() -> None:
-    with pytest.raises(et.PreconditionError):
-        et.hamiltonian_path(et.Digraph(3, [(0, 1), (1, 2)]))
-    with pytest.raises(et.PreconditionError):
-        et.hamiltonian_path(et.Digraph(0))
+    assert _path_between(transitive(5), _full(transitive(5)), 0) == [0, 1, 2, 3, 4]
+    assert _path_between(et.Digraph(1), 1, 0) == [0]
 
 
 @given(
@@ -50,7 +52,10 @@ def test_hamiltonian_path_rejects_non_semicomplete() -> None:
 )
 def test_hamiltonian_path_always_valid(n: int, prob: float, seed: int) -> None:
     d = et.gen_random_semicomplete(n, prob, seed)
-    check_path(d, et.hamiltonian_path(d))
+    for x in _mask_bits(_components(d, _full(d))[0]):
+        path = _path_between(d, _full(d), x)
+        assert path[0] == x
+        check_path(d, path)
 
 
 def test_hamiltonian_cycle_t4_is_unique() -> None:
@@ -58,6 +63,15 @@ def test_hamiltonian_cycle_t4_is_unique() -> None:
     check_cycle(t4(), cycle)
     arcs = set(zip(cycle, cycle[1:] + cycle[:1]))
     assert arcs == {(0, 1), (1, 2), (2, 3), (3, 0)}
+
+
+def test_hamiltonian_cycle_rejects_non_semicomplete() -> None:
+    # a strong digraph, but 0 and 2 are joined by no arc
+    d = et.Digraph(4, [(0, 1), (1, 2), (2, 3), (3, 0), (1, 3), (3, 1)])
+    with pytest.raises(et.PreconditionError, match="semicomplete"):
+        et.hamiltonian_cycle(d)
+    with pytest.raises(et.PreconditionError, match="semicomplete"):
+        et.hamiltonian_cycle(et.Digraph(3, [(0, 1), (1, 2)]))
 
 
 def test_hamiltonian_cycle_rejects_non_strong() -> None:
@@ -75,33 +89,18 @@ def test_hamiltonian_cycle_always_valid(n: int, seed: int) -> None:
 
 
 def test_path_within_pins_one_endpoint() -> None:
-    d = figure_chain()
-    assert et.path_within(d, {3, 4}, end=3) == [4, 3]
-    assert et.path_within(d, {3, 4}, start=3) == [3, 4]
-    path = et.path_within(d, {5, 6, 7}, end=5)
+    d = figure_chain()  # {3, 4} and {5, 6, 7} induce strong subdigraphs
+    assert _component_path(d, _mask_of({3, 4}), end=3) == [4, 3]
+    assert _component_path(d, _mask_of({3, 4}), start=3) == [3, 4]
+    assert _component_path(d, _mask_of({6}), start=6) == [6]
+    path = _component_path(d, _mask_of({5, 6, 7}), end=5)
     assert path[-1] == 5 and sorted(path) == [5, 6, 7]
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, {3, 4}, start=4, end=3)
-
-
-def test_path_within_refuses_bad_sets() -> None:
-    d = figure_chain()
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, {3, 5})  # 3 and 5 sit in different strong sets
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, {3, d.n})
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, {3, -1})
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, {3, 4}, start=5)
-    with pytest.raises(et.PreconditionError):
-        et.path_within(d, set())
 
 
 def test_path_between_with_free_end() -> None:
     d = random_strong_semicomplete(6, 17)
     for x in d.vertices():
-        path = et.hamiltonian_path_between(d, x)
+        path = _path_between(d, _full(d), x)
         assert path[0] == x
         check_path(d, path)
 
@@ -111,52 +110,40 @@ def test_path_between_fixed_terminal() -> None:
     arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
     arcs += [(u, v) for u in range(3) for v in range(3, 6)]
     d = et.Digraph(6, arcs)
-    path = et.hamiltonian_path_between(d, 0, 5)
+    path = _path_between(d, _full(d), 0, 5)
     assert path[0] == 0 and path[-1] == 5
     check_path(d, path)
-    # 3 sits in the last strong component, so no path from it reaches {0,1,2}
-    with pytest.raises(et.PreconditionError):
-        et.hamiltonian_path_between(d, 3, 0)
-    with pytest.raises(et.PreconditionError):
-        et.hamiltonian_path_between(complete(4), 0, 3)  # strong, no terminal fix
-
-
-def test_path_between_refuses_a_terminal_out_of_range() -> None:
-    arcs = [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)]
-    arcs += [(u, v) for u in range(3) for v in range(3, 6)]
-    d = et.Digraph(6, arcs)
-    for y in (6, 100, -1):
-        with pytest.raises(et.PreconditionError, match="y must be a vertex"):
-            et.hamiltonian_path_between(d, 0, y)
-
-
-def test_cycle_covering_complement_names_the_non_adjacent_pair() -> None:
-    # 2 and 4 are joined by no arc, and neither lies in V(f) - z
-    d = complete(5).remove_arcs([(2, 4), (4, 2), (1, 3), (3, 1)])
-    f = et.SubDigraph(frozenset({0, 1}), frozenset({(0, 1)}))
-    with pytest.raises(et.PreconditionError) as info:
-        et.cycle_covering_complement(d, f, 0)
-    assert str(info.value) == (
-        "vertices 2 and 4 are non-adjacent outside the avoided subdigraph"
-    )
+    # 3 sits in the last strong component, so no path from it reaches
+    # {0,1,2}; the trail ladder's sink-side recursion catches this refusal
+    with pytest.raises(et.PreconditionError, match="x is not an out-generator"):
+        _path_between(d, _full(d), 3, 0)
+    with pytest.raises(et.PreconditionError, match="x is not an out-generator"):
+        _path_between(d, _full(d), 3)
+    with pytest.raises(et.PreconditionError, match="y is not an in-generator"):
+        _path_between(d, _full(d), 0, 1)
+    with pytest.raises(et.PreconditionError, match="fixed terminal"):
+        _path_between(complete(4), 15, 0, 3)  # strong, no terminal fix
 
 
 def test_cycle_covering_complement_basic() -> None:
+    # f is the 2-cycle on {0, 1} and z = 0: the core is every vertex but 1
     d = complete(5)
-    f = et.SubDigraph(frozenset({0, 1}), frozenset({(0, 1), (1, 0)}))
-    cycle = et.cycle_covering_complement(d, f, 0)
+    f_arcs = {(0, 1), (1, 0)}
+    cycle = _covering_cycle(d, d.remove_arcs(f_arcs), _full(d) & ~(1 << 1))
     assert 0 in cycle and 1 not in cycle
     assert {2, 3, 4} <= set(cycle)
     for u, v in zip(cycle, cycle[1:] + cycle[:1]):
         assert d.has_arc(u, v)
-        assert (u, v) not in f.arcs
+        assert (u, v) not in f_arcs
 
 
-def test_cycle_covering_complement_rejects_foreign_z() -> None:
-    d = complete(4)
-    f = et.SubDigraph(frozenset({0}), frozenset())
-    with pytest.raises(et.PreconditionError):
-        et.cycle_covering_complement(d, f, 2)
+def test_covering_cycle_of_a_one_vertex_core_is_a_shortest_cycle_through_it() -> None:
+    # f spans every vertex, so the core is z = 0 alone; in h, 0 leaves
+    # only to 3 and 3 returns only through 1 or 2
+    h = complete(4).remove_arcs([(0, 1), (0, 2), (3, 0)])
+    assert _covering_cycle(complete(4), h, 1 << 0) == [0, 3, 1]
+    with pytest.raises(et.ConstructionError):
+        _covering_cycle(transitive(3), transitive(3), 1 << 0)
 
 
 @settings(max_examples=60)
@@ -164,10 +151,11 @@ def test_cycle_covering_complement_rejects_foreign_z() -> None:
 def test_cycle_covering_complement_random_single_arc(n: int, seed: int) -> None:
     d = random_strong_semicomplete(n, seed)
     for arc in d.arcs():
-        if not et.is_strong(d.remove_arcs([arc])):
+        h = d.remove_arcs([arc])
+        if not et.is_strong(h):
             continue
-        f = et.SubDigraph(frozenset(arc), frozenset({arc}))
-        cycle = et.cycle_covering_complement(d, f, arc[0])
+        # f is the arc itself and z its tail: the core is every vertex but its head
+        cycle = _covering_cycle(d, h, _full(d) & ~(1 << arc[1]))
         assert arc[0] in cycle
         assert set(d.vertices()) - set(arc) <= set(cycle)
         for a in zip(cycle, cycle[1:] + cycle[:1]):
@@ -198,19 +186,20 @@ def test_mask_routines_match_the_induced_copy() -> None:
             within = _mask_of(vertices)
             sub, ids = d.induced(vertices)
             comps = _components(d, within)
+            full = _full(sub)
             if _strong(d, within):
                 strong_sets += 1
-                assert _cycle(d, within) == [ids[v] for v in et.hamiltonian_cycle(sub)]
+                assert _cycle(d, within) == [ids[v] for v in _cycle(sub, full)]
                 for x in rng.sample(vertices, min(3, len(vertices))):
-                    local = et.hamiltonian_path_between(sub, ids.index(x))
+                    local = _path_between(sub, full, ids.index(x))
                     assert _path_between(d, within, x) == [ids[v] for v in local]
             else:
                 split_sets += 1
                 x = rng.choice(list(_mask_bits(comps[0])))
                 y = rng.choice(list(_mask_bits(comps[-1])))
-                local = et.hamiltonian_path_between(sub, ids.index(x), ids.index(y))
+                local = _path_between(sub, full, ids.index(x), ids.index(y))
                 assert _path_between(d, within, x, y) == [ids[v] for v in local]
-                local = et.hamiltonian_path_between(sub, ids.index(x))
+                local = _path_between(sub, full, ids.index(x))
                 assert _path_between(d, within, x) == [ids[v] for v in local]
     assert strong_sets > 100 and split_sets > 100
 

@@ -10,8 +10,8 @@ from eulertrail import trails
 from eulertrail.digraph import _rows_of
 from eulertrail.trails import (
     _accepted_trail,
+    _arc_rows,
     _trail_walk,
-    arcs_to_trail,
     closed_tour,
 )
 from instances import (
@@ -135,9 +135,16 @@ def test_eulerian_subdigraph_check_flags_an_avoided_arc() -> None:
     assert any("avoided" in i for i in triangle.check(d, frozenset({(1, 2)})))
 
 
+def _walked(arcs, x: int, y: int) -> et.Trail | None:
+    """The (x,y)-trail that ``_trail_walk`` orders an arc set into, or
+    None where the arcs form no such trail."""
+    walk = _trail_walk(*_arc_rows(arcs, x, y), x, y)
+    return None if walk is None else et.Trail(tuple(walk))
+
+
 def test_arcs_to_trail_reconstructs_a_walk() -> None:
     arcs = {(0, 1), (1, 2), (2, 1)}
-    trail = arcs_to_trail(arcs, 0, 1)
+    trail = _walked(arcs, 0, 1)
     assert trail.check(et.gen_d3(), 0, 1) == []
     assert set(trail.arcs()) == arcs
 
@@ -155,16 +162,15 @@ def test_closed_tour_visits_every_arc_once() -> None:
 def test_arcs_to_trail_refuses_an_unbalanced_arc_set() -> None:
     # Hierholzer from 0 would splice these into 0-2-1-3, which steps along
     # (2, 1), an arc the set does not hold
-    with pytest.raises(et.ConstructionError):
-        arcs_to_trail({(0, 1), (1, 3), (0, 2)}, 0, 3)
+    assert _walked({(0, 1), (1, 3), (0, 2)}, 0, 3) is None
 
 
 def test_arc_sets_with_an_end_outside_the_vertices_form_no_trail() -> None:
     # a negative end names no row: it must be refused, not shifted by
     with pytest.raises(et.ConstructionError):
-        arcs_to_trail({(0, -1)}, 0, -1)
+        _arc_rows({(0, -1)}, 0, -1)
     with pytest.raises(et.ConstructionError):
-        arcs_to_trail({(0, 1)}, -1, 1)
+        _arc_rows({(0, 1)}, -1, 1)
     with pytest.raises(et.ConstructionError):
         closed_tour([(0, -1), (-1, 0)], 0)
     with pytest.raises(et.ConstructionError):
@@ -174,17 +180,17 @@ def test_arc_sets_with_an_end_outside_the_vertices_form_no_trail() -> None:
 def test_ladder_rejects_a_candidate_using_yx() -> None:
     d = complete(3)
     arcs = {(0, 2), (2, 1), (1, 0), (0, 1)}  # the spanning trail 0-2-1-0-1
-    assert arcs_to_trail(arcs, 0, 1).check(d, 0, 1) == []
+    assert _walked(arcs, 0, 1).check(d, 0, 1) == []
     assert _accepted(d, arcs, 0, 1) is None
 
 
 def test_ladder_rejects_a_candidate_leaving_a_vertex_three_times() -> None:
     d = complete(4)
     thrice = {(0, 2), (2, 0), (0, 3), (3, 0), (0, 1)}  # 0-2-0-3-0-1
-    assert arcs_to_trail(thrice, 0, 1).check(d, 0, 1) == []
+    assert _walked(thrice, 0, 1).check(d, 0, 1) == []
     assert _accepted(d, thrice, 0, 1) is None
     y_twice = {(0, 1), (1, 2), (2, 1), (1, 3), (3, 1)}  # 0-1-2-1-3-1
-    assert arcs_to_trail(y_twice, 0, 1).check(d, 0, 1) == []
+    assert _walked(y_twice, 0, 1).check(d, 0, 1) == []
     assert _accepted(d, y_twice, 0, 1) is None
     twice = {(0, 2), (2, 0), (0, 3), (3, 1)}  # 0-2-0-3-1 keeps the promise
     assert _accepted(d, twice, 0, 1) == et.Trail((0, 2, 0, 3, 1))
@@ -196,7 +202,7 @@ def _accepted(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
 
 
 def _set_based_trail(arcs, x: int, y: int) -> et.Trail | None:
-    """``arcs_to_trail`` as it was: the dict-keyed walk, then its arcs
+    """The arc-set walk as it was: the dict-keyed walk, then its arcs
     compared with the set as a set; None where that raised."""
     arcs = set(arcs)
     walk = _reference_walk(arcs, x)
@@ -206,7 +212,7 @@ def _set_based_trail(arcs, x: int, y: int) -> et.Trail | None:
 
 
 def _two_pass_accepted_trail(d: et.Digraph, arcs, x: int, y: int) -> et.Trail | None:
-    """The reference acceptance: the set-based ``arcs_to_trail``, then
+    """The reference acceptance: the set-based arc-set walk, then
     ``Trail.check`` and the promise, each in its own pass."""
     trail = _set_based_trail(arcs, x, y)
     if trail is None:
@@ -507,9 +513,9 @@ def test_trail_walk_matches_the_copy_and_step_walk() -> None:
 
 
 def test_arc_set_adapters_match_the_set_based_walk() -> None:
-    """``arcs_to_trail`` and ``closed_tour`` on rows give the trail or
-    tour that the dict-keyed walk with a set comparison gave, and raise
-    where it found none, on balanced and unbalanced random arc sets."""
+    """``_trail_walk`` and ``closed_tour`` on an arc set's rows give the
+    trail or tour that the dict-keyed walk with a set comparison gave, and
+    none where it found none, on balanced and unbalanced random arc sets."""
     rng = random.Random(2906)
     trails_found = tours_found = 0
     for i in range(800):
@@ -523,7 +529,7 @@ def test_arc_set_adapters_match_the_set_based_walk() -> None:
         for x, y in pairs:
             want = _set_based_trail(arcs, x, y)
             try:
-                got = arcs_to_trail(arcs, x, y) if x != y else et.Trail((*closed_tour(arcs, x), x))
+                got = _walked(arcs, x, y) if x != y else et.Trail((*closed_tour(arcs, x), x))
             except et.ConstructionError:
                 got = None
             assert got == want, (n, sorted(arcs), x, y)
