@@ -216,8 +216,10 @@ def taxonomy_labels(d: Digraph, arc: Arc) -> dict[str, bool]:
     """Which of the four structural patterns fit this non-cut arc.
 
     Keys "regular", "left", "right", "exceptional"; for an unavoidable
-    non-cut arc on at least four vertices exactly one should hold.
+    non-cut arc on at least four vertices exactly one should hold.  An
+    arc that d lacks raises ``PreconditionError``.
     """
+    require_arcs(d, [arc], "arc")
     u, v = arc
     out = {"regular": False, "left": False, "right": False, "exceptional": False}
     if d.n == 4:

@@ -31,7 +31,7 @@ from .connectivity import (
     arc_connectivity_certificate,
     is_strong,
 )
-from .digraph import Arc, Digraph, _mask_bits, _mask_of, _row_arcs, _rows_of, require_arcs
+from .digraph import Arc, Digraph, _mask_bits, _row_arcs, _rows_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
 from .trails import EulerianSubdigraph, _degree_issues, closed_tour
@@ -224,9 +224,13 @@ def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
     """Whether the arcs' underlying undirected edges form disjoint stars.
 
     Opposite arcs collapse onto one edge.  Every weak component with an
-    edge must have one vertex that is an endpoint of all its arcs.
+    edge must have one vertex that is an endpoint of all its arcs.  An
+    arc with a negative end raises ``PreconditionError``.
     """
     arcs = list(arcs)
+    negative = [a for a in arcs if min(a) < 0]
+    if negative:
+        raise PreconditionError(f"arc {min(negative)} has a negative end")
     n = 1 + max((max(a) for a in arcs), default=-1)
     for comp in _weak_masks(n, arcs):
         inner = [a for a in arcs if comp >> a[0] & 1]
@@ -238,36 +242,33 @@ def is_star_set(arcs: ArcSet | set[Arc]) -> bool:
 # ---- merging factor components ----
 
 
-def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] | None:
-    """A vertex cycle of arcs that all run between distinct components:
-    the shortest one through the smallest vertex on such a cycle.
+def _cross_cycle(rows: list[int], cols: list[int], live: int) -> tuple[list[Arc] | None, int]:
+    """The shortest cycle of cross arcs through the smallest vertex on
+    one, or None; and the live mask less the vertices found on none.
 
-    The cross rows of a vertex are its out- and in-row minus its own
-    component, which holds every current arc at it.  Peeling, again and
-    again, the vertices with an empty cross row inside what is left keeps
-    every vertex of a cross cycle.  The first vertex s left whose strong
-    component C there (two ``_closure`` calls) is more than s is the
-    smallest one on a cross cycle.  A breadth-first search from s, heads
-    in ascending order, runs inside C until a row leads back to s.  Over
-    every vertex it would find the same cycle: a vertex outside C that s
-    reaches cannot reach s, so it reaches no vertex of C and discovers
-    none, and only vertices of C lead back to s.
+    ``rows[u]`` and ``cols[u]`` are u's cross arcs: its out- and in-row
+    minus its own component, which holds every current arc at it.  The
+    live mask holds every vertex of a cross cycle.  Vertices s are taken
+    in ascending order.  One with no cross out- or in-arc inside the live
+    set, or whose strong component C there (two ``_closure`` calls) is s
+    alone, is on no cross cycle and leaves the set.  The first other s is
+    the smallest vertex on a cross cycle, and C is its strong component in
+    the whole cross graph, as in any live set that holds every such
+    vertex.  A breadth-first search from s, heads in ascending order, runs
+    inside C until a row leads back to s.  Over every vertex it would find
+    the same cycle: a vertex outside C that s reaches cannot reach s, so
+    it reaches no vertex of C and discovers none, and only vertices of C
+    lead back to s.
     """
-    n = d.n
-    out, ins = d._out, d._in  # noqa: SLF001 - package-internal
-    rows = [out[u] & ~comps[comp_of[u]] for u in range(n)]
-    cols = [ins[u] & ~comps[comp_of[u]] for u in range(n)]
-    alive, dead = (1 << n) - 1, -1
-    while dead:
-        dead = _mask_of(v for v in _mask_bits(alive) if not (rows[v] & alive and cols[v] & alive))
-        alive ^= dead
-    parent = [-1] * n
-    for s in _mask_bits(alive):
+    for s in _mask_bits(live):
         bit_s = 1 << s
-        within = _closure(rows, s, alive) & _closure(cols, s, alive)
-        alive ^= bit_s  # s lies on no cross cycle unless this search finds one
+        within = bit_s
+        if rows[s] & live and cols[s] & live:
+            within = _closure(rows, s, live) & _closure(cols, s, live)
         if within == bit_s:
+            live ^= bit_s
             continue
+        parent = [-1] * len(rows)
         seen = bit_s
         queue = [s]
         for v in queue:  # the queue grows while it is read
@@ -279,7 +280,7 @@ def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] 
                     v = parent[v]
                 cycle.append(s)
                 cycle.reverse()
-                return list(zip(cycle, cycle[1:]))
+                return list(zip(cycle, cycle[1:])), live
             step = row & ~seen
             seen |= step
             while step:
@@ -288,23 +289,23 @@ def _cross_cycle(d: Digraph, comps: list[int], comp_of: list[int]) -> list[Arc] 
                 parent[w] = v
                 queue.append(w)
                 step ^= low
-    return None
+    return None, live
 
 
 def _next_move(
     d: Digraph, current: set[Arc], comps: list[int], comp_of: list[int], protected: ArcSet
 ) -> MergeOption | None:
-    """The first applicable move, or None.
+    """The first applicable insert, swap or reroute, or None; ``_merge``
+    asks only when no cross-component cycle is left.
 
     ``comps`` holds the weak components of the balanced ``current`` arcs
-    as masks and ``comp_of`` each vertex's index, so each component's
-    arcs form one closed tour through its vertices.  Every candidate arc
-    joins two components, so any arc of d may be added; only protected
-    arcs rule a candidate out.
+    as masks, in order of smallest member, and ``comp_of`` each vertex's
+    index, so each component's arcs form one closed tour through its
+    vertices.  Every candidate arc joins two components, so any arc of d
+    may be added; only protected arcs rule a candidate out.
 
     Each move joins exactly the components its added arcs touch, keeps
-    every component closed and leaves the others' arcs alone.  A cycle
-    removes nothing and links the components of its vertices.  An insert
+    every component closed and leaves the others' arcs alone.  An insert
     drops one arc of a tour, a swap one of each of two; what is left of a
     tour is an open trail through all of its vertices, and the two added
     arcs close it, through the other component, into one tour.  A reroute
@@ -312,9 +313,6 @@ def _next_move(
     so no vertex leaves the tour, and x's component joins it.
     """
     before = len(comps)
-    cyc = _cross_cycle(d, comps, comp_of)
-    if cyc is not None:
-        return MergeOption("cycle", frozenset(cyc), frozenset())
     out, ins = d._out, d._in  # noqa: SLF001 - package-internal
     grouped: list[list[Arc]] = [[] for _ in comps]
     for a in sorted(current):
@@ -391,28 +389,58 @@ def merge_all(
 
 
 def _merge(d: Digraph, arcs: ArcSet | set[Arc], protected: ArcSet) -> ArcSet | None:
-    """``merge_all`` on balanced arcs of d.  The components are found
-    once; after each move the ones its added arcs touch are ORed into one
-    (see ``_next_move``), and the list is kept in order of smallest member."""
+    """``merge_all`` on balanced arcs of d.
+
+    The weak components are found once.  If there are several, each
+    vertex keeps its component's mask and its cross rows (see
+    ``_cross_cycle``), beside a live mask of the vertices that may lie on
+    a cross cycle.  A move joins the components its added arcs touch, two
+    or more: a cycle removes nothing and links the components of its
+    vertices (the other moves are ``_next_move``'s).  Only the joined
+    vertices' masks and rows change, and they only lose bits; so cross
+    arcs only disappear, and a vertex off every cross cycle stays off.
+    """
     current = set(arcs)
     comps = _weak_masks(d.n, current)
-    comp_of = [0] * d.n
-    for _ in range(d.n + 2):
-        if len(comps) <= 1:
-            return frozenset(current)
-        for i, c in enumerate(comps):
-            for v in _mask_bits(c):
-                comp_of[v] = i
-        move = _next_move(d, current, comps, comp_of, protected)
+    if len(comps) <= 1:
+        return frozenset(current)
+    n, out, ins = d.n, d._out, d._in  # noqa: SLF001 - package-internal
+    comp_mask = [0] * n
+    for c in comps:
+        for v in _mask_bits(c):
+            comp_mask[v] = c
+    rows = [out[u] & ~comp_mask[u] for u in range(n)]
+    cols = [ins[u] & ~comp_mask[u] for u in range(n)]
+    live, count = (1 << n) - 1, len(comps)
+    while count > 1:
+        move, live = _find_move(d, current, comp_mask, rows, cols, live, protected)
         if move is None:
             return None
         current -= move.remove_arcs
         current |= move.add_arcs
-        touched = {comp_of[w] for a in move.add_arcs for w in a}
-        joined = sum(comps[i] for i in touched)  # disjoint masks: their union
-        comps = [c for i, c in enumerate(comps) if i not in touched] + [joined]
-        comps.sort(key=lambda m: m & -m)
-    return None
+        touched = {comp_mask[w] for a in move.add_arcs for w in a}
+        joined = sum(touched)  # disjoint masks: their union
+        count -= len(touched) - 1
+        for v in _mask_bits(joined):
+            rows[v] &= ~joined
+            cols[v] &= ~joined
+            comp_mask[v] = joined
+    return frozenset(current)
+
+
+def _find_move(
+    d: Digraph, current: set[Arc], comp_mask: list[int], rows: list[int], cols: list[int],
+    live: int, protected: ArcSet,
+) -> tuple[MergeOption | None, int]:
+    """``_merge``'s next move on its carried state, and the live mask:
+    a cross-component cycle, else ``_next_move`` on the masks listed in
+    order of smallest member, as each is met first at that vertex."""
+    cyc, live = _cross_cycle(rows, cols, live)
+    if cyc is not None:
+        return MergeOption("cycle", frozenset(cyc), frozenset()), live
+    comps = list(dict.fromkeys(comp_mask))
+    index = {c: i for i, c in enumerate(comps)}
+    return _next_move(d, current, comps, [index[c] for c in comp_mask], protected), live
 
 
 # ---- the avoiding pipeline ----

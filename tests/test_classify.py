@@ -115,6 +115,11 @@ def test_classify_requires_arc_in_digraph() -> None:
         et.classify_unavoidable(t4(), (1, 0))
     with pytest.raises(et.PreconditionError):
         et.classify_containment(et.Digraph(3, [(0, 1), (1, 2), (2, 0)]).remove_arcs([(0, 1)]), (1, 2))
+    # taxonomy_labels refuses an absent arc as well, and one past the vertices
+    for d in (t4(), figure_chain()):
+        for arc in ((1, 0), (0, 99)):
+            with pytest.raises(et.PreconditionError, match=r"arc \(.*\) is not in the digraph"):
+                et.taxonomy_labels(d, arc)
 
 
 def test_cut_arcs_are_unavoidable() -> None:

@@ -12,6 +12,7 @@ from eulertrail.connectivity import shortest_walk
 from eulertrail._flow import _circulate
 from eulertrail.digraph import _mask_bits, _mask_of, _row_arcs, _rows_of
 from eulertrail.factor import (
+    MergeOption,
     _cross_cycle,
     _merge,
     _next_move,
@@ -189,6 +190,8 @@ def test_is_star_set() -> None:
     assert et.is_star_set({(0, 1), (1, 2)})  # both arcs touch vertex 1
     assert not et.is_star_set({(0, 1), (1, 2), (2, 3)})
     assert not et.is_star_set({(0, 1), (2, 3), (1, 2)})
+    with pytest.raises(et.PreconditionError, match=r"arc \(0, -1\) has a negative end"):
+        et.is_star_set([(0, -1)])
 
 
 def test_merge_all_joins_components() -> None:
@@ -245,20 +248,35 @@ def test_merge_all_vets_its_factor_arcs() -> None:
             et.merge_all(three_cycle(), arcs)
 
 
-def _reference_cross_cycle(d, avoid, current, comp_of):
-    """The cross-cycle search as it was before it moved onto bitmask rows:
-    successor lists rebuilt from every arc, then the shared shortest-walk
-    search from each vertex in turn."""
+def _cross_succ(d, avoid, current, comp_of):
+    """Successor lists of the cross arcs, rebuilt from every arc: the arcs
+    of d, not avoided, whose ends lie in distinct components."""
     succ: dict = {}
     for u, v in d.arcs():
         if (u, v) not in avoid and (u, v) not in current and comp_of[u] != comp_of[v]:
             succ.setdefault(u, []).append(v)
+    return succ
+
+
+def _reference_cross_cycle(d, avoid, current, comp_of):
+    """The cross-cycle search as it was before it moved onto bitmask rows:
+    successor lists rebuilt from every arc, then the shared shortest-walk
+    search from each vertex in turn."""
+    succ = _cross_succ(d, avoid, current, comp_of)
     for s in range(d.n):
         if s in succ:
             cycle = shortest_walk(lambda v: succ.get(v, ()), [s], {s})
             if cycle is not None:
                 return list(zip(cycle, cycle[1:]))
     return None
+
+
+def _recount(n, current):
+    """The weak components of the current arcs as masks, in order of
+    smallest member, and each vertex's component index."""
+    comps = weak_components(n, current)
+    comp_of = [next(i for i, c in enumerate(comps) if v in c) for v in range(n)]
+    return [_mask_of(c) for c in comps], comp_of
 
 
 def _factor_picks(n, arcs):
@@ -271,17 +289,22 @@ def _factor_picks(n, arcs):
 def _merge_states(d, avoid, arcs, protected=frozenset()):
     """(current arcs, component masks, component index of each vertex,
     next move) before every move that merge_all makes from the given
-    factor arcs, and after the last one with no move."""
+    factor arcs, and after the last one with no move.  Everything is
+    recomputed from the current arcs before each move: the cycle move
+    comes from the shortest-walk search, and ``_next_move`` is asked
+    only when that finds none."""
     rest = d.remove_arcs(avoid)
     current = set(arcs)
     for _ in range(d.n + 2):
-        comps = weak_components(d.n, current)
-        comp_of = [next(i for i, c in enumerate(comps) if v in c) for v in range(d.n)]
-        comps = [_mask_of(c) for c in comps]
+        comps, comp_of = _recount(d.n, current)
         if len(comps) <= 1:
             yield current, comps, comp_of, None
             return
-        move = _next_move(rest, current, comps, comp_of, protected)
+        cycle = _reference_cross_cycle(d, avoid, current, comp_of)
+        if cycle is not None:
+            move = MergeOption("cycle", frozenset(cycle), frozenset())
+        else:
+            move = _next_move(rest, current, comps, comp_of, protected)
         yield current, comps, comp_of, move
         if move is None:
             return
@@ -310,26 +333,73 @@ def _merge_inputs():
         yield d, frozenset(rng.sample(arcs, min(k, len(arcs)))), rng
 
 
-def test_cross_cycle_matches_the_shortest_walk_search() -> None:
-    found = stuck = 0
+def _spy_on_moves(monkeypatch, check):
+    """Make ``_merge`` hand ``check`` its carried state before every move:
+    the digraph, the current arcs, the component masks, the cross rows
+    and cols, the live mask given and the live mask handed back."""
+    real = factor._find_move
+
+    def spy(d, current, comp_mask, rows, cols, live, protected):
+        move, found = real(d, current, comp_mask, rows, cols, live, protected)
+        check(d, current, comp_mask, rows, cols, live, found)
+        return move, found
+
+    monkeypatch.setattr(factor, "_find_move", spy)
+
+
+def test_cross_cycle_matches_the_shortest_walk_search(monkeypatch) -> None:
+    outcomes = Counter()
+
+    def check(d, current, comp_mask, rows, cols, live, _):
+        # the search on the carried rows and live mask, not on fresh ones
+        got, _ = _cross_cycle(rows, cols, live)
+        _, comp_of = _recount(d.n, current)
+        assert got == _reference_cross_cycle(d, frozenset(), current, comp_of)
+        outcomes[got is not None] += 1
+
+    _spy_on_moves(monkeypatch, check)
     for d, avoid, rng in _merge_inputs():
-        allowed = [a for a in d.arcs() if a not in avoid]
+        rest = d.remove_arcs(avoid)
         label = list(range(d.n))
         for _ in range(3):  # the factor on the input labels, then two relabellings
-            picked, _, _ = _factor_picks(d.n, [(label[u], label[v]) for u, v in allowed])
+            picked, _, _ = _factor_picks(d.n, [(label[u], label[v]) for u, v in rest.arcs()])
             if picked is None:
                 break
             back = {new: old for old, new in enumerate(label)}
-            picked = [(back[u], back[v]) for u, v in picked]
-            for current, comps, comp_of, _ in _merge_states(d, avoid, picked):
-                got = _cross_cycle(d.remove_arcs(avoid), comps, comp_of)
-                assert got == _reference_cross_cycle(d, avoid, current, comp_of)
-                if len(comps) > 1:
-                    found += got is not None
-                    stuck += got is None
+            _merge(rest, [(back[u], back[v]) for u, v in picked], frozenset())
             rng.shuffle(label)
     # both outcomes occur among the states with several components
-    assert found > 50 and stuck > 20
+    assert outcomes[True] > 50 and outcomes[False] > 20, outcomes
+
+
+def test_merge_carries_the_recounted_rows_and_a_sound_live_mask(monkeypatch) -> None:
+    moves = dropped = 0
+
+    def check(d, current, comp_mask, rows, cols, live, found):
+        nonlocal moves, dropped
+        comps, comp_of = _recount(d.n, current)
+        own = [comps[comp_of[v]] for v in range(d.n)]
+        assert comp_mask == own
+        assert rows == [d.out_mask(v) & ~own[v] for v in range(d.n)]
+        assert cols == [d.in_mask(v) & ~own[v] for v in range(d.n)]
+        assert found & ~live == 0  # the live mask only shrinks
+        succ = _cross_succ(d, frozenset(), current, comp_of)
+        for v in range(d.n):
+            if not found >> v & 1:
+                assert shortest_walk(lambda u: succ.get(u, ()), [v], {v}) is None
+        moves += 1
+        dropped += d.n - found.bit_count()
+
+    _spy_on_moves(monkeypatch, check)
+    rng = random.Random(2)
+    for d, avoid, _ in _merge_inputs():
+        rest = d.remove_arcs(avoid)
+        picked, _, _ = _factor_picks(d.n, rest.arcs())
+        if picked is not None:
+            for share in (0, len(picked) // 2, len(picked)):
+                _merge(rest, picked, frozenset(rng.sample(picked, share)))
+    # the live masks handed back leave out some 200 vertices or more in all
+    assert moves > 500 and dropped > 200, (moves, dropped)
 
 
 def test_every_merge_move_joins_exactly_the_components_it_touches() -> None:
@@ -365,19 +435,10 @@ def test_every_merge_move_joins_exactly_the_components_it_touches() -> None:
 
 
 def _reference_merge(d, arcs, protected):
-    """The merge as it was before it kept its components: the weak
-    components recounted from the current arcs before every move."""
-    current = set(arcs)
-    for _ in range(d.n + 2):
-        comps = weak_components(d.n, current)
-        if len(comps) <= 1:
-            return frozenset(current)
-        comp_of = [next(i for i, c in enumerate(comps) if v in c) for v in range(d.n)]
-        move = _next_move(d, current, [_mask_of(c) for c in comps], comp_of, protected)
-        if move is None:
-            return None
-        current = (current - move.remove_arcs) | move.add_arcs
-    return None
+    """The merge with nothing carried between moves: the last state of
+    ``_merge_states``."""
+    *_, (current, comps, _, _) = _merge_states(d, frozenset(), arcs, protected)
+    return frozenset(current) if len(comps) <= 1 else None
 
 
 def test_merge_matches_the_recomputing_merge() -> None:

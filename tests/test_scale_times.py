@@ -1,4 +1,5 @@
-"""Smoke tests of ``tools/scale_times.py`` at n = 12."""
+"""Tests of ``tools/scale_times.py``: smoke runs at n = 12, and pinned
+answers past the benchmark's sizes."""
 
 import importlib
 import re
@@ -28,6 +29,25 @@ def test_repeated_runs_print_the_median_and_the_range() -> None:
         assert match, line
         median, low, high = map(float, match.group(3, 4, 5))
         assert low <= median <= high
+
+
+def test_merge_heavy_inputs_past_the_benchmark_sizes_keep_their_answers() -> None:
+    # chains at n = 60 and a dense digraph at n = 100 weld many factor
+    # components per completion, more than any benchmark workload does
+    proc = subprocess.run(
+        [sys.executable, "tools/scale_times.py", "--chains", "60", "--seeds", "0", "1", "2",
+         "--dense", "100"],
+        cwd=ROOT, capture_output=True, text=True, check=False, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    answers = [re.search(r"^(\w+ n=\d+ seed=\d+) .* ok answer=(\w+)$", line).groups()
+               for line in proc.stdout.splitlines()]
+    assert answers == [
+        ("chain n=60 seed=0", "18d68d5dfbed5747"),
+        ("chain n=60 seed=1", "69c15a58741c41ba"),
+        ("chain n=60 seed=2", "d9d80cfbba03b7b6"),
+        ("dense n=100 seed=1", "b237ec22d3f9f18a"),
+    ]
 
 
 def test_answers_that_differ_between_repeats_fail_the_run(monkeypatch, capsys) -> None:
