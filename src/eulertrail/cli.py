@@ -347,10 +347,14 @@ def run_conjecture_search(
     """Probe random high-connectivity instances for avoidance failures.
 
     Each trial is deterministic given (seed, index), so results are
-    reproducible and mergeable regardless of worker count.  More jobs
-    than CPUs, or digraphs above ``MAX_VERTICES``, are refused before any
+    reproducible and mergeable regardless of worker count.  Arguments
+    out of range, more jobs than CPUs included, are refused before any
     worker starts.
     """
+    if k < 1 or n_max < 4 or trials < 1 or jobs < 1:
+        raise PreconditionError("k, n, trials, and jobs must be positive (n at least 4)")
+    if n_max < k + 2:
+        raise PreconditionError(f"connectivity {k + 1} needs at least {k + 2} vertices")
     cpus = os.cpu_count() or 1
     if jobs > cpus:
         raise PreconditionError(f"jobs must be at most the CPU count, {cpus}")
@@ -386,12 +390,6 @@ def run_conjecture_search(
 
 
 def cmd_conjecture_search(args: argparse.Namespace) -> int:
-    if args.k < 1 or args.n < 4 or args.trials < 1 or args.jobs < 1:
-        raise PreconditionError("k, n, trials, and jobs must be positive (n at least 4)")
-    if args.n < args.k + 2:
-        raise PreconditionError(
-            f"connectivity {args.k + 1} needs at least {args.k + 2} vertices"
-        )
     report = run_conjecture_search(args.k, args.n, args.trials, args.seed, args.jobs)
     _say(
         args,

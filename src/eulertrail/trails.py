@@ -199,26 +199,25 @@ def _note(trace: list[str] | None, tag: str) -> None:
         trace.append(tag)
 
 
-def _direct_arc_case(
-    d: Digraph, x: int, y: int, two_strong: bool, trace: list[str] | None
-) -> list[int] | None:
+def _direct_arc_case(d: Digraph, x: int, y: int, trace: list[str] | None) -> list[int] | None:
     """Cases where xy is an arc: one covering cycle plus the arc itself.
 
-    ``two_strong`` says that d is known to be 2-arc-strong.  Then h = d
-    minus xy and yx is strong without a test: a directed cut of d holds
-    at least two arcs, and at most one of xy and yx."""
+    When d is 2-arc-strong, h = d minus xy and yx is strong without a
+    test: a directed cut of d holds at least two arcs, and at most one of
+    xy and yx."""
     n = d.n
+    two_arc_strong = _arc_strong(d, 2)
     # the cycle avoids xy and covers every vertex but y; the core misses
     # y, so d has the core arcs of h and its memo serves.  When d is
     # 2-arc-strong and the core, of two or more vertices, is strong, the
     # memo's hamiltonian cycle of the core is that cycle and h is not read
     core = (1 << n) - 1 & ~(1 << y)
-    cyc = _cached_cycle(d, core) if two_strong and core & (core - 1) else None
+    cyc = _cached_cycle(d, core) if two_arc_strong and core & (core - 1) else None
     h = None
     if cyc is None:
         d0 = d.remove_arcs([(y, x)]) if d.has_arc(y, x) else d
         h = d0.remove_arcs([(x, y)])
-    if cyc is not None or two_strong or is_strong(h):
+    if cyc is not None or two_arc_strong or is_strong(h):
         _note(trace, "direct-arc-covering-cycle")
         rows = _cycle_rows(_covering_cycle(d, h, core) if cyc is None else cyc, n)
         rows[x] |= 1 << y
@@ -266,7 +265,7 @@ def _split_case(
     if head >> x & 1 and head >> y & 1 and allow_mirror:
         _note(trace, "mirrored")
         rev = d.reverse()
-        got = _ladder_trail(rev, y, x, allow_mirror=False, two_strong=False, trace=trace)
+        got = _ladder_trail(rev, y, x, allow_mirror=False, trace=trace)
         if got is None:
             return None
         return _rows_of(((b, a) for a, b in got.arcs()), d.n)
@@ -311,10 +310,8 @@ def _absorb_head_side(
     if value < 2:
         return None
     _note(trace, "sink-side-recursion")
-    inner = _ladder_trail(
-        aug, xl, yl, allow_mirror=True, two_strong=False, trace=trace,
-        paths=_row_paths(fwd, xl, yl, 2),
-    )
+    paths = _row_paths(fwd, xl, yl, 2)
+    inner = _ladder_trail(aug, xl, yl, allow_mirror=True, trace=trace, paths=paths)
     if inner is None:
         return None
     w_arcs = {(tail_ids[a], tail_ids[b]) for a, b in inner.arcs()}
@@ -387,7 +384,6 @@ def _ladder_trail(
     x: int,
     y: int,
     allow_mirror: bool,
-    two_strong: bool,
     trace: list[str] | None,
     paths: list[list[int]] | None = None,
 ) -> Trail | None:
@@ -396,7 +392,7 @@ def _ladder_trail(
     d is strong and semicomplete at every level: ``spanning_trail``
     checks it, and the recursions run on its reverse or on the induced
     sink side plus at most one arc, once that is found strong.
-    ``two_strong`` says that d is known to be 2-arc-strong, so that no
+    When d is 2-arc-strong (``_arc_strong(d, 2)``, memoised), no
     strongness test after removing one arc, or one 2-cycle, is needed.
     ``paths`` are two arc-disjoint (x,y)-paths of d read off its cold
     ``_max_flow`` by a caller that ran it; without them the ladder runs
@@ -412,12 +408,12 @@ def _ladder_trail(
         return None if got is None else _accepted_trail(d, got, x, y)
 
     if d.has_arc(x, y):
-        got = attempt(lambda: _direct_arc_case(d, x, y, two_strong, trace))
+        got = attempt(lambda: _direct_arc_case(d, x, y, trace))
         if got is not None:
             return got
     else:
         dprime = d.remove_arcs([(y, x)])
-        if not (two_strong or is_strong(dprime)):
+        if not (_arc_strong(d, 2) or is_strong(dprime)):
             # yx is a cut arc, so it lies on every hamiltonian cycle of d
             def via_ham() -> list[int]:
                 _note(trace, "cut-arc-ham-cycle")
@@ -495,12 +491,11 @@ def _spanning_trail(
 ) -> Trail:
     """``spanning_trail`` for a d already known to be strong and
     semicomplete and two distinct vertices of it.  A caller that has run
-    the flow for d and (x,y) hands its two paths over as ``paths`` and
-    leaves d's arc-connectivity unasked; otherwise the paths are checked
-    here, by that flow when d is not 2-arc-strong, and the ladder reads
-    the pair off it, so each flow runs once."""
-    two_strong = paths is None and _arc_strong(d, 2)
-    if paths is None and not two_strong:
+    the flow for d and (x,y) hands its two paths over as ``paths``;
+    otherwise the paths are checked here, by that flow when d is not
+    2-arc-strong, and the ladder reads the pair off it, so each flow
+    runs once."""
+    if paths is None and not _arc_strong(d, 2):
         value, fwd, reached = _max_flow(d, x, y, limit=2)
         if value < 2:
             raise PreconditionError(
@@ -509,9 +504,7 @@ def _spanning_trail(
             )
         if not d.has_arc(x, y):  # the ladder reads the pair only then
             paths = _row_paths(fwd, x, y, 2)
-    trail = _ladder_trail(
-        d, x, y, allow_mirror=True, two_strong=two_strong, trace=trace, paths=paths
-    )
+    trail = _ladder_trail(d, x, y, allow_mirror=True, trace=trace, paths=paths)
     if trail is None:
         raise ConstructionError(f"no spanning trail construction succeeded for ({x}, {y})")
     return trail

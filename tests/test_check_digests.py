@@ -43,3 +43,10 @@ def test_trail_pairs_seed_keeps_its_known_gap() -> None:
     pair (4,7) of input 24: a candidate check that refuses a sound trail
     adds a failure, and one that passes an unsound candidate hides it."""
     assert _check("trail-pairs", 0) == ("failed=1", "ok")
+
+
+def test_oracle_diff_seed_answers_every_item() -> None:
+    """Oracle-diff judges the avoidance answers by the exhaustive oracle.
+    On seed 1, inputs 3260, 3918 and 4339 have factors whose merge only a
+    detour finishes, and every item's verdict agrees with the oracle."""
+    assert _check("oracle-diff", 1) == ("failed=0", "ok")

@@ -560,6 +560,26 @@ def test_conjecture_search_rejects_tiny_n(capsys):
     assert "at least 5 vertices" in err
 
 
+def test_conjecture_search_library_refuses_what_the_command_refuses(monkeypatch):
+    import concurrent.futures
+
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a worker pool was started")
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", no_pool)
+    positive = "k, n, trials, and jobs must be positive"
+    for args, jobs, message in (
+        ((0, 6, 1, 1), 1, positive),
+        ((2, 3, 1, 1), 1, positive),
+        ((2, 6, 0, 1), 1, positive),
+        ((2, 6, -1, 1), 1, positive),
+        ((2, 6, 1, 1), 0, positive),
+        ((5, 5, 3, 1), 1, "connectivity 6 needs at least 7 vertices"),
+    ):
+        with pytest.raises(et.PreconditionError, match=message):
+            run_conjecture_search(*args, jobs=jobs)
+
+
 def test_conjecture_search_past_the_oracle_guard(capsys, monkeypatch):
     # trial 0 of seed 0 draws n = 22, where the oracle refuses to search
     argv = ["conjecture-search", "--k", "1", "--n", "30", "--trials", "1", "--seed", "0"]
@@ -639,7 +659,7 @@ def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeyp
 def test_avoid_does_not_print_a_certificate_that_fails_its_check(tmp_path, capsys, monkeypatch):
     d = complete(4)
     everything = et.EulerianSubdigraph(frozenset(d.arcs()))  # uses the forbidden arc
-    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest, trace: everything)
+    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest: everything)
     path = _digraph_file(tmp_path, d)
     first = _write(tmp_path, "first.json", "[[0, 1]]")
     with pytest.raises(et.ConstructionError):
