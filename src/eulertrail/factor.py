@@ -19,6 +19,7 @@ given, whose arcs are exactly the allowed ones.
 
 from __future__ import annotations
 
+import random
 from collections import Counter
 from dataclasses import dataclass
 
@@ -30,7 +31,7 @@ from .connectivity import (
     arc_connectivity_certificate,
     is_strong,
 )
-from .digraph import Arc, Digraph, _mask_bits, _row_arcs, require_arcs
+from .digraph import Arc, Digraph, _mask_bits, _row_arcs, _rows_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
 from .trails import EulerianSubdigraph, _degree_issues, _note, closed_tour
@@ -362,29 +363,6 @@ def _next_move(
     return None
 
 
-def _detour(
-    d: Digraph, current: set[Arc], comp_mask: list[int], protected: ArcSet
-) -> MergeOption | None:
-    """The first detour, or None: drop an arc uv of one tour and wz of
-    another, add uz and a path w, x, v of untaken arcs (so x is no end of a
-    dropped arc).  What is left of the two tours closes into one, and x,
-    entered and left once more, brings its component along."""
-    out, ins = d._out, d._in  # noqa: SLF001 - package-internal
-    free = sorted(a for a in current if a not in protected)
-    for u, v in free:
-        for w, z in free:
-            if comp_mask[w] == comp_mask[u] or not out[u] >> z & 1:
-                continue
-            for x in _mask_bits(out[w] & ins[v]):
-                if (w, x) not in current and (x, v) not in current:
-                    return MergeOption(
-                        "detour",
-                        frozenset(((u, z), (w, x), (x, v))),
-                        frozenset(((u, v), (w, z))),
-                    )
-    return None
-
-
 def merge_all(
     d: Digraph,
     factor_arcs: ArcSet | set[Arc],
@@ -410,21 +388,16 @@ def merge_all(
     return _merge(d.remove_arcs(avoid), factor_arcs, protected)
 
 
-def _merge(
-    d: Digraph, arcs: ArcSet | set[Arc], protected: ArcSet, detours: bool = False
-) -> ArcSet | None:
-    """``merge_all`` on balanced arcs of d; with ``detours``, a state no
-    other move joins tries ``_detour`` last.  ``classify``'s completions
-    ask for none yet: there a detour answers an arc that raises today,
-    which moves a recorded benchmark verdict (ROADMAP item 1).
+def _merge(d: Digraph, arcs: ArcSet | set[Arc], protected: ArcSet) -> ArcSet | None:
+    """``merge_all`` on balanced arcs of d.
 
     The weak components are found once.  If there are several, each
     vertex keeps its component's mask and its cross rows (see
     ``_cross_cycle``), beside a live mask of the vertices that may lie on
     a cross cycle.  A move joins the components its added arcs touch, two
     or more: a cycle removes nothing and links the components of its
-    vertices (the others are ``_next_move``'s and the detour).  Only the
-    joined vertices' masks and rows change, and they only lose bits; so cross
+    vertices (the other moves are ``_next_move``'s).  Only the joined
+    vertices' masks and rows change, and they only lose bits; so cross
     arcs only disappear, and a vertex off every cross cycle stays off.
     """
     current = set(arcs)
@@ -441,8 +414,6 @@ def _merge(
     live, count = (1 << n) - 1, len(comps)
     while count > 1:
         move, live = _find_move(d, current, comp_mask, rows, cols, live, protected)
-        if move is None and detours:
-            move = _detour(d, current, comp_mask, protected)
         if move is None:
             return None
         current -= move.remove_arcs
@@ -493,17 +464,33 @@ def is_semicomplete_multipartite(d: Digraph) -> bool:
     return True
 
 
-def _factor_then_merge(d: Digraph) -> EulerianSubdigraph | ObstructionPartition | None:
+def _factor_then_merge(
+    d: Digraph, trace: list[str] | None
+) -> EulerianSubdigraph | ObstructionPartition | None:
     """Decide a spanning eulerian subdigraph of d via factor + merge.
 
-    None when d has a factor whose merge gets stuck; ``_avoiding`` then
-    hands the instance to its exhaustive last resort.
+    When the merge gets stuck, factors found on relabelled vertices get
+    another try: each relabels d, picks a factor and maps it back.  A
+    factor exists whatever the labels, so each relabelling yields one.
     """
     fac = _factor(d)
     if isinstance(fac, ObstructionPartition):
         return fac
-    merged = _merge(d, fac.arcs, frozenset(), detours=True)
-    return None if merged is None else EulerianSubdigraph(merged)
+    merged = _merge(d, fac.arcs, frozenset())
+    if merged is not None:
+        return EulerianSubdigraph(merged)
+    n = d.n
+    for seed in range(1, 7):
+        label = list(range(n))
+        random.Random(seed).shuffle(label)
+        rows = _rows_of(((label[u], label[v]) for u, v in d.arcs()), n)
+        picked, _, _ = _circulate(rows, [1] * n, [n] * n)
+        arcs = {(u, v) for u, v in d.arcs() if picked[label[u]] >> label[v] & 1}
+        merged = _merge(d, arcs, frozenset())
+        if merged is not None:
+            _note(trace, "merge-retry")
+            return EulerianSubdigraph(merged)
+    return None
 
 
 def spanning_eulerian_avoiding(
@@ -523,9 +510,8 @@ def spanning_eulerian_avoiding(
     with high arc-connectivity relative to the number of forbidden arcs,
     the arcs inside each forbidden cluster are discarded wholesale, which
     also lands in the multipartite case; otherwise factor plus merge runs
-    on all the allowed arcs.  A merge stuck on every route leaves the last
-    word to an exhaustive search inside the oracle's guard, and past it
-    the answer is None.
+    on all the allowed arcs.  Every route retries a stuck merge on relabelled
+    factors, and on small inputs an exhaustive search has the last word.
 
     A certificate or a cut is checked here, a partition where it is
     refined; a failed check raises ``ConstructionError``.
@@ -568,11 +554,11 @@ def _avoiding(
             dstar = d.remove_arcs(drop)
             if is_strong(dstar) and is_semicomplete_multipartite(dstar):
                 _note(trace, "multipartite-reduction")
-                got = _factor_then_merge(dstar)
+                got = _factor_then_merge(dstar, trace)
                 if isinstance(got, EulerianSubdigraph):
                     return got
         _note(trace, "factor-merge")
-    got = _factor_then_merge(rest)
+    got = _factor_then_merge(rest, trace)
     if got is not None:
         return got
     try:

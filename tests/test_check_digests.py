@@ -47,6 +47,6 @@ def test_trail_pairs_seed_keeps_its_known_gap() -> None:
 
 def test_oracle_diff_seed_answers_every_item() -> None:
     """Oracle-diff judges the avoidance answers by the exhaustive oracle.
-    On seed 1, inputs 3260, 3918 and 4339 have factors whose merge only a
-    detour finishes, and every item's verdict agrees with the oracle."""
+    On seed 1, input 4339 has a factor whose merge only a relabelled
+    factor finishes, and every item's verdict agrees with the oracle."""
     assert _check("oracle-diff", 1) == ("failed=0", "ok")

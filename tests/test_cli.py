@@ -659,7 +659,7 @@ def test_every_subcommand_payload_prints_as_json_dumps(tmp_path, capsys, monkeyp
 def test_avoid_does_not_print_a_certificate_that_fails_its_check(tmp_path, capsys, monkeypatch):
     d = complete(4)
     everything = et.EulerianSubdigraph(frozenset(d.arcs()))  # uses the forbidden arc
-    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest: everything)
+    monkeypatch.setattr(factor, "_factor_then_merge", lambda rest, trace: everything)
     path = _digraph_file(tmp_path, d)
     first = _write(tmp_path, "first.json", "[[0, 1]]")
     with pytest.raises(et.ConstructionError):
