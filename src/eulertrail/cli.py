@@ -47,7 +47,8 @@ from .decomposition import (
     one_decomposition,
 )
 from .digraph import (
-    MAX_VERTICES, Arc, Digraph, gen_random_semicomplete, is_semicomplete, parse_json, to_dot
+    MAX_VERTICES, Arc, Digraph, _first_bad_arc, gen_random_semicomplete, is_semicomplete,
+    parse_json, to_dot,
 )
 from .errors import ConstructionError, EulertrailError, ParseError, PreconditionError
 from .factor import NonStrongCut, ObstructionPartition, spanning_eulerian_avoiding
@@ -116,16 +117,10 @@ def _load_arc_file(path: str) -> frozenset[Arc]:
         raise ParseError(f"arc file is not valid JSON: {exc}") from exc
     if not isinstance(rows, list):
         raise ParseError("arc file must hold a JSON list of [tail, head] pairs")
-    out: set[Arc] = set()
-    for row in rows:
-        if (
-            not isinstance(row, list)
-            or len(row) != 2
-            or not all(isinstance(x, int) and not isinstance(x, bool) for x in row)
-        ):
-            raise ParseError(f"bad arc entry: {row!r}")
-        out.add((row[0], row[1]))
-    return frozenset(out)
+    bad = _first_bad_arc(rows)
+    if bad >= 0:
+        raise ParseError(f"bad arc entry: {rows[bad]!r}")
+    return frozenset((u, v) for u, v in rows)
 
 
 # ---- analyze ----

@@ -28,16 +28,17 @@ s->t and the two-arc paths s->w->t are arc-disjoint, so when they already
 number k the pair needs no flow; otherwise its flow stops at k units.  On
 dense digraphs most pairs need no flow at all.
 
-The other modules share two walks from here: ``shortest_walk``, a
-breadth-first shortest-walk search, and ``_row_paths``, which reads
-paths off flow rows.
+The other modules share two walks from here: ``shortest_walk``, the
+package's one breadth-first walk search, on bitmask rows and masks, and
+``_row_paths``, which reads paths off flow rows.  Reachability alone is
+``_closure``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Container, Iterable, Sequence
+from typing import Sequence
 
 from .digraph import Arc, Digraph, _mask_bits, _mask_of
 from .errors import ConstructionError, PreconditionError
@@ -157,30 +158,23 @@ def cut_arcs(d: Digraph) -> frozenset[Arc]:
     API compute λ itself.  Otherwise an arc (u,v) is a cut arc iff v is
     unreachable from u once the arc itself is dropped: any other broken
     pair could reroute through a surviving u-to-v path.  A two-arc detour
-    u->w->v, read off ``out[u] & in[v]``, settles that without a search.
+    u->w->v, read off ``out[u] & in[v]``, settles that without a search;
+    otherwise one ``_closure`` from u on the rows with (u,v) cleared does.
     """
     if not is_strong(d):
         raise PreconditionError("cut_arcs requires a strong digraph")
     if _arc_strong(d, 2):
         return frozenset()
     out, into = d._out, d._in  # noqa: SLF001
+    rows = list(out)
     result: set[Arc] = set()
     for u, v in d.arcs():
         if out[u] & into[v]:
             continue
-        seen = 1 << u
-        frontier = seen
-        while frontier and not seen >> v & 1:
-            nxt = 0
-            for w in _mask_bits(frontier):
-                row = out[w]
-                if w == u:
-                    row &= ~(1 << v)
-                nxt |= row
-            frontier = nxt & ~seen
-            seen |= frontier
-        if not seen >> v & 1:
+        rows[u] = out[u] & ~(1 << v)
+        if not _closure(rows, u) >> v & 1:
             result.add((u, v))
+        rows[u] = out[u]
     return frozenset(result)
 
 
@@ -188,32 +182,39 @@ def cut_arcs(d: Digraph) -> frozenset[Arc]:
 
 
 def shortest_walk(
-    succ: Callable[[int], Iterable[int]],
-    sources: Iterable[int],
-    targets: Container[int],
+    rows: Sequence[int], sources: int, targets: int, within: int = -1
 ) -> list[int] | None:
     """Shortest walk of at least one arc from a source to a target.
 
-    Breadth-first search that tries the heads ``succ(v)`` in the order
-    given and the sources in the order given, so ties break the same way
-    on every run.  A source that is also a target is reached only by a
-    cycle.  Returns the walk's vertices, or None when no target is
-    reachable.
+    Bit v of ``rows[u]`` is the arc (u,v); ``sources`` and ``targets``
+    are vertex masks, and every vertex after the first must lie in the
+    ``within`` mask (every vertex by default).  Breadth-first search that
+    takes the smallest source first and tries heads in ascending order,
+    so ties break the same way on every run.  A source that is also a
+    target is reached only by a cycle.  Returns the walk's vertices, or
+    None when no target is reachable.
     """
-    parent = dict.fromkeys(sources, -1)
-    queue = list(parent)
+    parent = [-1] * len(rows)
+    seen = sources
+    queue = list(_mask_bits(sources))
     for v in queue:  # the queue grows while it is read
-        for w in succ(v):
-            if w in targets:
-                walk = [w]
-                while v != -1:
-                    walk.append(v)
-                    v = parent[v]
-                walk.reverse()
-                return walk
-            if w not in parent:
-                parent[w] = v
-                queue.append(w)
+        row = rows[v] & within
+        hit = row & targets
+        if hit:
+            walk = [(hit & -hit).bit_length() - 1]
+            while v != -1:
+                walk.append(v)
+                v = parent[v]
+            walk.reverse()
+            return walk
+        step = row & ~seen
+        seen |= step
+        while step:
+            low = step & -step
+            w = low.bit_length() - 1
+            parent[w] = v
+            queue.append(w)
+            step ^= low
     return None
 
 

@@ -320,6 +320,21 @@ def gen_blocked_arc_tournament(
 # ---- stable I/O ----
 
 
+def _first_bad_arc(rows: list) -> int:
+    """Index of the first entry of a parsed JSON list that is not a
+    ``[tail, head]`` list of two integers, or -1.  The types are exact:
+    ``json.loads`` makes plain lists and ints, and a bool is no int here."""
+    for i, item in enumerate(rows):
+        if not (
+            type(item) is list
+            and len(item) == 2
+            and type(item[0]) is int
+            and type(item[1]) is int
+        ):
+            return i
+    return -1
+
+
 def parse_json(text: str) -> Digraph:
     """Parse ``{"n": int, "arcs": [[u, v], ...]}`` into a digraph."""
     try:
@@ -338,16 +353,9 @@ def parse_json(text: str) -> Digraph:
     raw = obj["arcs"]
     if not isinstance(raw, list):
         raise ParseError('"arcs" must be a list of [tail, head] pairs')
-    for i, item in enumerate(raw):
-        # exact types: json.loads makes plain lists and ints, and a bool
-        # is not an int here
-        if not (
-            type(item) is list
-            and len(item) == 2
-            and type(item[0]) is int
-            and type(item[1]) is int
-        ):
-            raise ParseError(f"arc #{i} must be a pair of integers")
+    bad = _first_bad_arc(raw)
+    if bad >= 0:
+        raise ParseError(f"arc #{bad} must be a pair of integers")
     try:
         return Digraph(n, raw)  # the checked rows unpack as (tail, head)
     except PreconditionError as exc:

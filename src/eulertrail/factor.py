@@ -30,11 +30,12 @@ from .connectivity import (
     _closure,
     arc_connectivity_certificate,
     is_strong,
+    shortest_walk,
 )
 from .digraph import Arc, Digraph, _mask_bits, _row_arcs, _rows_of, require_arcs
 from .errors import ConstructionError, PreconditionError
 from .oracle import enumerate_spanning_eulerian
-from .trails import EulerianSubdigraph, _degree_issues, _note, closed_tour
+from .trails import EulerianSubdigraph, _degree_issues, _note, _trail_walk
 
 ArcSet = frozenset[Arc]
 
@@ -254,11 +255,10 @@ def _cross_cycle(rows: list[int], cols: list[int], live: int) -> tuple[list[Arc]
     alone, is on no cross cycle and leaves the set.  The first other s is
     the smallest vertex on a cross cycle, and C is its strong component in
     the whole cross graph, as in any live set that holds every such
-    vertex.  A breadth-first search from s, heads in ascending order, runs
-    inside C until a row leads back to s.  Over every vertex it would find
-    the same cycle: a vertex outside C that s reaches cannot reach s, so
-    it reaches no vertex of C and discovers none, and only vertices of C
-    lead back to s.
+    vertex.  ``shortest_walk`` from s back to s, run inside C, finds the
+    cycle; run over every vertex it would find the same one: a vertex
+    outside C that s reaches cannot reach s, so it reaches no vertex of C
+    and discovers none, and only vertices of C lead back to s.
     """
     for s in _mask_bits(live):
         bit_s = 1 << s
@@ -268,27 +268,8 @@ def _cross_cycle(rows: list[int], cols: list[int], live: int) -> tuple[list[Arc]
         if within == bit_s:
             live ^= bit_s
             continue
-        parent = [-1] * len(rows)
-        seen = bit_s
-        queue = [s]
-        for v in queue:  # the queue grows while it is read
-            row = rows[v] & within
-            if row & bit_s:
-                cycle = [s]
-                while v != s:
-                    cycle.append(v)
-                    v = parent[v]
-                cycle.append(s)
-                cycle.reverse()
-                return list(zip(cycle, cycle[1:])), live
-            step = row & ~seen
-            seen |= step
-            while step:
-                low = step & -step
-                w = low.bit_length() - 1
-                parent[w] = v
-                queue.append(w)
-                step ^= low
+        cycle = shortest_walk(rows, bit_s, bit_s, within)
+        return list(zip(cycle, cycle[1:])), live
     return None, live
 
 
@@ -341,7 +322,9 @@ def _next_move(
                             frozenset(((u, v), (w, z))),
                         )
     for j in range(before):
-        tour = closed_tour(grouped[j], next(_mask_bits(comps[j])))
+        first = next(_mask_bits(comps[j]))
+        # a weak component of balanced arcs always closes into one tour
+        tour = _trail_walk(_rows_of(grouped[j], d.n), len(grouped[j]), first, first)[:-1]
         k = len(tour)
         visits: dict[int, int] = {}
         for v in tour:

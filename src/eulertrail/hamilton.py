@@ -166,14 +166,15 @@ def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
     two core vertices are adjacent (the caller holds all three).
 
     When the induced core is strong this is just a hamiltonian cycle of
-    the core; otherwise the core's generator ends are bridged by a
-    shortest patch path through h, which may pick up vertices of V(f).
-    Either way the cycle's arc set avoids A(f).  Of d only the arcs inside
-    the core are read, so any digraph with those arcs serves as d."""
+    the core; otherwise the core's generator ends are bridged by the
+    shortest patch path through h, ``shortest_walk`` on h's rows from the
+    core's last strong component to its first, which may pick up vertices
+    of V(f).  Either way the cycle's arc set avoids A(f).  Of d only the
+    arcs inside the core are read, so any digraph with those arcs serves
+    as d."""
     if core & (core - 1) == 0:
         # degenerate: a shortest cycle through z in h
-        z = core.bit_length() - 1
-        cycle = shortest_walk(h.out_neighbors, [z], {z})
+        cycle = shortest_walk(h._out, core, core)  # noqa: SLF001 - package-internal
         if cycle is None:
             raise ConstructionError("no cycle through z in a strong digraph")
         return cycle[:-1]
@@ -183,7 +184,7 @@ def _covering_cycle(d: Digraph, h: Digraph, core: int) -> list[int]:
     comps = _components(d, core)
     # shortest path in h from the in-generator side back to the out-generator
     # side: it runs from a last-component vertex to a first-component one
-    patch = shortest_walk(h.out_neighbors, _mask_bits(comps[-1]), set(_mask_bits(comps[0])))
+    patch = shortest_walk(h._out, comps[-1], comps[0])  # noqa: SLF001
     if patch is None:
         raise ConstructionError("no patch path despite d minus f-arcs being strong")
     rest = core & ~_mask_of(patch[1:-1])

@@ -13,7 +13,6 @@ over the rows checks them against the digraph and that promise before
 one Hierholzer walk orders them into the trail; a rejected candidate
 falls through to the next strategy, ending with a completion via
 circulation and finally a brute-force search on small inputs.
-``closed_tour`` runs the same walk on the rows of an arc set.
 """
 
 from __future__ import annotations
@@ -156,25 +155,6 @@ def _trail_walk(rows: list[int], m: int, x: int, y: int) -> list[int] | None:
         return None
     walk.reverse()
     return walk
-
-
-def _arc_rows(arcs, *ends: int) -> tuple[list[int], int]:
-    """Out-rows of an arc set on the vertices up to its largest end or
-    named end, and the number of distinct arcs.  A negative end names no
-    row, so it raises ConstructionError as any set that forms no trail."""
-    arcs = set(arcs)
-    ends = (*ends, *(v for arc in arcs for v in arc))
-    if min(ends) < 0:
-        raise ConstructionError("an arc or a terminal lies outside the vertices")
-    return _rows_of(arcs, max(ends) + 1), len(arcs)
-
-
-def closed_tour(arcs, start: int) -> list[int]:
-    """Vertex sequence of a closed eulerian tour of a balanced arc set."""
-    walk = _trail_walk(*_arc_rows(arcs, start), start, start)
-    if walk is None:
-        raise ConstructionError("arc set does not form a single closed tour")
-    return walk[:-1]
 
 
 def _path_arcs(path: list[int]) -> list[Arc]:

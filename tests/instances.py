@@ -1,4 +1,5 @@
-"""Hand-built digraphs shared across the test modules.
+"""Hand-built digraphs shared across the test modules, and reference
+searches that share no code with the library.
 
 Each builder returns a fresh Digraph so tests can't leak state through
 the cached oracle enumerations.
@@ -164,3 +165,27 @@ def weak_components(n: int, arcs) -> list[frozenset[int]]:
     for v in range(n):
         groups.setdefault(find(v), set()).add(v)
     return [frozenset(groups[r]) for r in sorted(groups)]
+
+
+def reference_shortest_walk(succ, sources, targets) -> list[int] | None:
+    """``connectivity.shortest_walk`` as it was before it moved onto
+    bitmask rows: a breadth-first search over a successor callable and
+    dicts, kept so that tests can check the row search against it.  It
+    tries the heads ``succ(v)`` in the order given and the sources in the
+    order given; a source that is also a target is reached only by a
+    cycle."""
+    parent = dict.fromkeys(sources, -1)
+    queue = list(parent)
+    for v in queue:  # the queue grows while it is read
+        for w in succ(v):
+            if w in targets:
+                walk = [w]
+                while v != -1:
+                    walk.append(v)
+                    v = parent[v]
+                walk.reverse()
+                return walk
+            if w not in parent:
+                parent[w] = v
+                queue.append(w)
+    return None

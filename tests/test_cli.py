@@ -408,6 +408,12 @@ def test_arc_file_must_be_a_list_of_pairs(tmp_path, capsys):
     assert main(["avoid", path, "--arcs", arcs]) == 1
     _, err = capsys.readouterr()
     assert "list of [tail, head] pairs" in err
+    # each row must be a list of exactly two ints: no bool, float or string
+    for text in ("[[0, true]]", "[[0, 1.0]]", "[[0, 1, 2]]", '[["0", 1]]', '["01"]'):
+        arcs = _write(tmp_path, "avoid.json", text)
+        assert main(["avoid", path, "--arcs", arcs]) == 1, text
+        _, err = capsys.readouterr()
+        assert "eulertrail: error: bad arc entry" in err, text
 
 
 def test_arcs_outside_the_digraph_exit_one(tmp_path, capsys):

@@ -23,6 +23,7 @@ from instances import (
     backward_chain,
     complete,
     random_strong_semicomplete,
+    reference_shortest_walk,
     strong_backward_chain,
     t4,
     three_cycle,
@@ -340,25 +341,56 @@ def test_cut_certificate_is_genuine(n: int, seed: int) -> None:
 
 def test_shortest_walk_reaches_a_source_target_only_by_a_cycle() -> None:
     d = et.Digraph(4, [(0, 1), (1, 2), (2, 0), (0, 3)])
-    assert shortest_walk(d.out_neighbors, [0], {0}) == [0, 1, 2, 0]
-    assert shortest_walk(d.out_neighbors, [0], {0, 3}) == [0, 3]
+    assert shortest_walk(d._out, 0b0001, 0b0001) == [0, 1, 2, 0]
+    assert shortest_walk(d._out, 0b0001, 0b1001) == [0, 3]
 
 
-def test_shortest_walk_searches_sources_in_the_given_order() -> None:
-    # 0 and 1 both reach 2 in one step; the first source listed wins
+def test_shortest_walk_takes_sources_and_heads_ascending() -> None:
+    # 0 and 1 both reach 2 in one step; the smaller source wins
     d = et.Digraph(3, [(0, 2), (1, 2)])
-    assert shortest_walk(d.out_neighbors, [0, 1], {2}) == [0, 2]
-    assert shortest_walk(d.out_neighbors, [1, 0], {2}) == [1, 2]
-    # heads are tried in the order succ gives them
+    assert shortest_walk(d._out, 0b011, 0b100) == [0, 2]
+    assert shortest_walk(d._out, 0b010, 0b100) == [1, 2]
+    # heads are tried in ascending order, unless ``within`` blocks one
     d = et.Digraph(4, [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert shortest_walk(d.out_neighbors, [0], {3}) == [0, 1, 3]
-    assert shortest_walk(lambda v: reversed(list(d.out_neighbors(v))), [0], {3}) == [0, 2, 3]
+    assert shortest_walk(d._out, 0b0001, 0b1000) == [0, 1, 3]
+    assert shortest_walk(d._out, 0b0001, 0b1000, 0b1101) == [0, 2, 3]
+    assert shortest_walk(d._out, 0b0001, 0b1000, 0b0111) is None  # it blocks the target
 
 
 def test_shortest_walk_unreachable_target_gives_none() -> None:
     d = transitive(3)
-    assert shortest_walk(d.out_neighbors, [2], {0}) is None
-    assert shortest_walk(d.out_neighbors, [0], {0}) is None
+    assert shortest_walk(d._out, 0b100, 0b001) is None
+    assert shortest_walk(d._out, 0b001, 0b001) is None
+    assert shortest_walk(d._out, 0b001, 0) is None
+
+
+def test_shortest_walk_matches_the_callable_search() -> None:
+    """On seeded random digraphs with n = 1..30, the row search gives the
+    walk that the callable search gives with sources and heads listed
+    ascending and heads outside ``within`` left out, for random source
+    and target masks, sources that are also targets among them, and for
+    ``within`` both every vertex and a random mask."""
+    rng = random.Random(3806)
+    found = missed = cycles = 0
+    for i in range(1500):
+        n = rng.randint(1, 30)
+        p = rng.random()
+        rows = _rows_of(
+            [(u, v) for u in range(n) for v in range(n) if u != v and rng.random() < p], n
+        )
+        full = (1 << n) - 1
+        sources = rng.randint(1, full)
+        targets = sources if i % 3 == 0 else rng.randint(0, full)
+        within = -1 if i % 2 else rng.randint(0, full)
+        got = shortest_walk(rows, sources, targets, within)
+        want = reference_shortest_walk(
+            lambda v: _mask_bits(rows[v] & within), _mask_bits(sources), set(_mask_bits(targets))
+        )
+        assert got == want, (n, rows, sources, targets, within)
+        found += got is not None
+        missed += got is None
+        cycles += got is not None and sources >> got[-1] & 1
+    assert found > 600 and missed > 100 and cycles > 400, (found, missed, cycles)
 
 
 def test_flow_paths_splices_out_a_revisit() -> None:

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 import eulertrail as et
 from eulertrail import factor
-from eulertrail.connectivity import shortest_walk
 from eulertrail._flow import _circulate
 from eulertrail.cli import _gen_hard_instance
 from eulertrail.digraph import _mask_bits, _mask_of, _row_arcs, _rows_of
@@ -32,6 +31,7 @@ from instances import (
     backward_chain,
     complete,
     random_strong_semicomplete,
+    reference_shortest_walk,
     t4,
     three_cycle,
     weak_components,
@@ -262,12 +262,12 @@ def _cross_succ(d, avoid, current, comp_of):
 
 def _reference_cross_cycle(d, avoid, current, comp_of):
     """The cross-cycle search as it was before it moved onto bitmask rows:
-    successor lists rebuilt from every arc, then the shared shortest-walk
+    successor lists rebuilt from every arc, then the callable shortest-walk
     search from each vertex in turn."""
     succ = _cross_succ(d, avoid, current, comp_of)
     for s in range(d.n):
         if s in succ:
-            cycle = shortest_walk(lambda v: succ.get(v, ()), [s], {s})
+            cycle = reference_shortest_walk(lambda v: succ.get(v, ()), [s], {s})
             if cycle is not None:
                 return list(zip(cycle, cycle[1:]))
     return None
@@ -293,7 +293,7 @@ def _merge_states(d, avoid, arcs, protected=frozenset()):
     next move) before every move that merge_all makes from the given
     factor arcs, and after the last one with no move.  Everything is
     recomputed from the current arcs before each move: the cycle move
-    comes from the shortest-walk search, and ``_next_move`` is asked
+    comes from the callable shortest-walk search, and ``_next_move`` is asked
     only when that finds none."""
     rest = d.remove_arcs(avoid)
     current = set(arcs)
@@ -388,7 +388,7 @@ def test_merge_carries_the_recounted_rows_and_a_sound_live_mask(monkeypatch) -> 
         succ = _cross_succ(d, frozenset(), current, comp_of)
         for v in range(d.n):
             if not found >> v & 1:
-                assert shortest_walk(lambda u: succ.get(u, ()), [v], {v}) is None
+                assert reference_shortest_walk(lambda u: succ.get(u, ()), [v], {v}) is None
         moves += 1
         dropped += d.n - found.bit_count()
 
